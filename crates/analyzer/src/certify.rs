@@ -2,7 +2,7 @@
 //! and the hot-path [`dfi_core::policy::PolicySnapshot`].
 //!
 //! The DFI control plane re-lowers its rule set into an immutable snapshot
-//! on every policy mutation and — when a gate is installed via
+//! once per policy commit and — when a gate is installed via
 //! [`dfi_core::Dfi::set_snapshot_gate`] — asks the gate to certify the
 //! candidate before swapping it in. This module provides that gate,
 //! built on the incremental [`DeltaAnalyzer`]:
@@ -101,7 +101,8 @@ impl Certifier {
 /// Wires a [`Certifier`] into a live DFI as its snapshot gate and returns
 /// a shared handle to it.
 ///
-/// From this call on, every `insert_policy`/`revoke_policy`:
+/// From this call on, every policy commit (`commit_policy`, and the
+/// one-mutation `insert_policy`/`revoke_policy`):
 ///
 /// 1. triggers an incremental re-analysis of exactly the mutated rules
 ///    (journal-driven, no external driver),

@@ -47,13 +47,14 @@
 //!
 //! Since the snapshot refactor, the flow-setup hot path never touches the
 //! mutable [`PolicyManager`]: every decision reads an immutable
-//! [`PolicySnapshot`] compiled and published by the control plane on each
-//! policy mutation (see `crate::policy::snapshot`). Publication can be
-//! gated by a certification hook ([`Dfi::set_snapshot_gate`]): when the
-//! hook reports new Allow/Deny conflicts or shadowed rules, the candidate
-//! snapshot is *refused* — the Policy Manager keeps the mutation (the PDP
-//! owns intent), but the previously certified snapshot keeps serving until
-//! a later mutation certifies clean. A recovery publication bulk-expires
+//! [`PolicySnapshot`] compiled and published by the control plane once per
+//! policy commit ([`Dfi::commit_policy`]; see `crate::policy::snapshot`).
+//! Publication can be gated by a certification hook
+//! ([`Dfi::set_snapshot_gate`]): when the hook reports new Allow/Deny
+//! conflicts or shadowed rules, the candidate snapshot is *refused* — the
+//! Policy Manager keeps every mutation of the commit (the PDP owns
+//! intent), but the previously certified snapshot keeps serving until a
+//! later commit certifies clean. A recovery publication bulk-expires
 //! decision-cache entries by epoch and re-issues the deferred cookie
 //! flushes, so no stale verdict survives the swap. Bursts of packet-ins
 //! arriving in one read are classified against a single frozen snapshot in
@@ -63,8 +64,8 @@
 use crate::erm::{Binding, EntityResolver, ErmIndexSizes, SpoofVerdict};
 use crate::events::{topic, DfiEvent, RepairStepData, SnapshotWitness};
 use crate::policy::{
-    Decision, FlowView, PolicyAction, PolicyId, PolicyIndexStats, PolicyManager, PolicyRule,
-    PolicySnapshot, SnapshotStore, DEFAULT_DENY_ID,
+    CommitOutcome, Decision, FlowView, PolicyAction, PolicyId, PolicyIndexStats, PolicyManager,
+    PolicyMutation, PolicyRule, PolicySnapshot, SnapshotStore, DEFAULT_DENY_ID,
 };
 use crate::rewrite::{
     rewrite_controller_frame_in_place, rewrite_switch_frame_in_place, rewrite_switch_to_controller,
@@ -634,7 +635,7 @@ struct Inner {
     pm: PolicyManager,
     cache: DecisionCache,
     /// The published-snapshot cell the hot path reads. Control plane
-    /// republishes on every certified mutation.
+    /// republishes once per certified commit.
     store: SnapshotStore,
     /// Monotonic publication counter; the next publish uses `+ 1`.
     next_epoch: u64,
@@ -651,12 +652,6 @@ struct Inner {
     /// hot path itself never touches the Policy Manager).
     default_deny_cached: bool,
     snapshot_gate: Option<SnapshotGate>,
-    /// `true` while the certification gate is running. `with_pm`'s
-    /// revision resync is suppressed during certification: the Policy
-    /// Manager legitimately leads the store at that instant, and the gate
-    /// reading it through `with_pm` must not publish the very candidate
-    /// it is deciding on.
-    certifying: bool,
     /// Highest stamped [`BindingBatch`] epoch applied so far; stale or
     /// re-delivered batches are ignored.
     binding_epoch: u64,
@@ -806,7 +801,6 @@ impl Dfi {
                 deferred_flushes: Vec::new(),
                 default_deny_cached: false,
                 snapshot_gate: None,
-                certifying: false,
                 binding_epoch: 0,
                 conns: Vec::new(),
                 pending_installs: HashMap::new(),
@@ -1648,9 +1642,47 @@ impl Dfi {
     // Policy API (used by PDPs)
     // ------------------------------------------------------------------
 
-    /// Inserts a policy rule on behalf of a PDP. Conflicting lower-priority
-    /// policies' derived flow rules (and, for Allow rules, cached
-    /// default-deny rules) are flushed from every switch.
+    /// Applies `mutations` as one policy commit on behalf of a PDP: the
+    /// hot path's default-deny note is forwarded once (when the commit
+    /// inserts), the Policy Manager applies every mutation in order,
+    /// each distinct flushed cookie is invalidated in the decision cache
+    /// and deleted from every switch once, and the resulting rule set is
+    /// certified, compiled and published once. Intermediate states are
+    /// never compiled, certified or served; a refusal defers the whole
+    /// commit. A commit that changes nothing (only unknown ids) publishes
+    /// nothing.
+    pub fn commit_policy(&self, sim: &mut Sim, mutations: Vec<PolicyMutation>) -> CommitOutcome {
+        let outcome = {
+            let mut inner = self.inner.borrow_mut();
+            // Forward the hot path's default-deny note before the inserts
+            // so a conflicting Allow flushes the cookie-0 rules exactly as
+            // when `pm.query` set the flag itself.
+            if inner.default_deny_cached && mutations.iter().any(PolicyMutation::is_insert) {
+                inner.pm.note_default_deny_cached();
+                inner.default_deny_cached = false;
+            }
+            let outcome = inner.pm.commit(mutations);
+            // Invalidate memoized decisions exactly where the switch-side
+            // cookie flush happens, so the cache is never more permissive
+            // (or more restrictive) than the dataplane.
+            for policy in &outcome.flush {
+                inner.cache.invalidate_policy(*policy);
+            }
+            outcome
+        };
+        if outcome.applied > 0 {
+            for policy in &outcome.flush {
+                self.flush_policy_rules(sim, *policy);
+            }
+            self.republish(sim, &outcome.flush);
+        }
+        outcome
+    }
+
+    /// Inserts a policy rule on behalf of a PDP (a one-mutation commit).
+    /// Conflicting lower-priority policies' derived flow rules (and, for
+    /// Allow rules, cached default-deny rules) are flushed from every
+    /// switch.
     pub fn insert_policy(
         &self,
         sim: &mut Sim,
@@ -1658,69 +1690,34 @@ impl Dfi {
         priority: u32,
         pdp: &str,
     ) -> PolicyId {
-        let (id, flush) = {
-            let mut inner = self.inner.borrow_mut();
-            // Forward the hot path's default-deny note before the insert
-            // so a conflicting Allow flushes the cookie-0 rules exactly as
-            // when `pm.query` set the flag itself.
-            if inner.default_deny_cached {
-                inner.pm.note_default_deny_cached();
-                inner.default_deny_cached = false;
-            }
-            let (id, flush) = inner.pm.insert(rule, priority, pdp);
-            // Invalidate memoized decisions exactly where the switch-side
-            // cookie flush happens, so the cache is never more permissive
-            // (or more restrictive) than the dataplane.
-            for policy in &flush {
-                inner.cache.invalidate_policy(*policy);
-            }
-            (id, flush)
-        };
-        for policy in &flush {
-            self.flush_policy_rules(sim, *policy);
-        }
-        self.republish(sim, &flush);
-        id
+        let outcome = self.commit_policy(sim, vec![PolicyMutation::insert(rule, priority, pdp)]);
+        outcome.inserted[0]
     }
 
     /// Revokes a policy rule and flushes its derived flow rules from every
-    /// switch. Returns `false` for unknown ids.
+    /// switch (a one-mutation commit). Returns `false` for unknown ids.
     pub fn revoke_policy(&self, sim: &mut Sim, id: PolicyId) -> bool {
-        let existed = {
-            let mut inner = self.inner.borrow_mut();
-            let existed = inner.pm.revoke(id);
-            if existed {
-                inner.cache.invalidate_policy(id);
-            }
-            existed
-        };
-        if existed {
-            self.flush_policy_rules(sim, id);
-            self.republish(sim, &[id]);
-        }
-        existed
+        let outcome = self.commit_policy(sim, vec![PolicyMutation::Revoke(id)]);
+        outcome.applied > 0
     }
 
-    /// Lowers the (mutated) Policy Manager into a fresh snapshot and
+    /// Lowers the committed Policy Manager into a fresh snapshot and
     /// publishes it — unless the certification gate refuses.
     ///
     /// Certify → publish: the gate (when installed) re-analyzes the
-    /// mutation delta; an empty witness list publishes the compiled
+    /// commit's delta; an empty witness list publishes the compiled
     /// snapshot and announces it on [`topic::SNAPSHOTS`]. A non-empty list
-    /// *defers* publication: the Policy Manager keeps the mutation, the
-    /// previously certified snapshot keeps serving, and `flush_hint` (the
-    /// cookie flushes this mutation triggered) is remembered. The next
-    /// certified-clean publication is a *recovery*: it bulk-expires
-    /// decision-cache entries older than the new epoch and re-issues the
-    /// remembered flushes, because flows decided under the stale snapshot
-    /// may have re-installed rules the deferred mutations outrank.
+    /// *defers* publication: the Policy Manager keeps every mutation of
+    /// the commit, the previously certified snapshot keeps serving, and
+    /// `flush_hint` (the cookie flushes the commit triggered) is
+    /// remembered. The next certified-clean publication is a *recovery*:
+    /// it bulk-expires decision-cache entries older than the new epoch and
+    /// re-issues the remembered flushes, because flows decided under the
+    /// stale snapshot may have re-installed rules the deferred mutations
+    /// outrank.
     fn republish(&self, sim: &mut Sim, flush_hint: &[PolicyId]) {
         // Take the gate out so the hook can re-enter this Dfi.
-        let gate = {
-            let mut inner = self.inner.borrow_mut();
-            inner.certifying = true;
-            inner.snapshot_gate.take()
-        };
+        let gate = self.inner.borrow_mut().snapshot_gate.take();
         let witnesses = match gate {
             Some(mut hook) => {
                 let w = hook(sim, self);
@@ -1729,7 +1726,6 @@ impl Dfi {
             }
             None => Vec::new(),
         };
-        self.inner.borrow_mut().certifying = false;
         if witnesses.is_empty() {
             let (event, recovered) = {
                 let mut inner = self.inner.borrow_mut();
@@ -1856,15 +1852,15 @@ impl Dfi {
     /// immediately so hot-path decisions stay equivalent to `pm.query` —
     /// exactly the coupling the pre-snapshot code had — while switch-side
     /// state is deliberately left stale (that staleness is what the
-    /// table-0 audit tests construct). The one exception: while the
-    /// certification gate is running, the Policy Manager legitimately
-    /// leads the store, and the gate reading it through `with_pm` must
-    /// not publish the very candidate it is deciding on — the resync is
-    /// suppressed for the duration.
+    /// table-0 audit tests construct). A closure that only reads publishes
+    /// nothing: neither the gate reading the candidate it is deciding on
+    /// nor a reader during a refused commit's deferral serves the
+    /// uncertified state.
     pub fn with_pm<R>(&self, f: impl FnOnce(&mut PolicyManager) -> R) -> R {
         let mut inner = self.inner.borrow_mut();
+        let revision = inner.pm.revision();
         let r = f(&mut inner.pm);
-        if !inner.certifying && inner.pm.revision() != inner.store.load().revision() {
+        if inner.pm.revision() != revision {
             inner.next_epoch += 1;
             let epoch = inner.next_epoch;
             let snap = PolicySnapshot::compile(&inner.pm, epoch);
@@ -1895,7 +1891,7 @@ impl Dfi {
     // ------------------------------------------------------------------
 
     /// Publishes an already-compiled shared snapshot into this DFI's
-    /// store. The sharded front-end compiles once per certified mutation
+    /// store. The sharded front-end compiles once per certified commit
     /// and fans the same `Arc` to every shard, so the per-shard cost is a
     /// pointer swap. `recovery` additionally bulk-expires decision-cache
     /// entries older than the snapshot's epoch — the front-end sets it on
@@ -1942,10 +1938,10 @@ impl Dfi {
     /// One-command rollback: rewrites the Policy Manager to the retained
     /// snapshot stamped `epoch`, flushes every derived flow rule the
     /// restore invalidated, and republishes through the normal certify →
-    /// publish path (a rollback is a policy mutation like any other — the
-    /// `DeltaAnalyzer` gate re-certifies it, and the published snapshot
-    /// gets a fresh, strictly newer epoch). Returns `false` when no
-    /// retained snapshot carries that epoch.
+    /// publish path (a rollback is a one-mutation commit like any other —
+    /// the `DeltaAnalyzer` gate re-certifies it, and the published
+    /// snapshot gets a fresh, strictly newer epoch). Returns `false` when
+    /// no retained snapshot carries that epoch.
     pub fn rollback_snapshot(&self, sim: &mut Sim, epoch: u64) -> bool {
         let Some(target) = self
             .snapshot_history()
@@ -1954,41 +1950,20 @@ impl Dfi {
         else {
             return false;
         };
-        let flush = {
-            let mut inner = self.inner.borrow_mut();
-            let flush = target.restore_into(&mut inner.pm);
-            for policy in &flush {
-                inner.cache.invalidate_policy(*policy);
-            }
-            flush
-        };
-        for policy in &flush {
-            self.flush_policy_rules(sim, *policy);
-        }
-        self.republish(sim, &flush);
+        self.commit_policy(sim, vec![PolicyMutation::Restore(target)]);
         true
     }
 
     /// Re-ranks a policy rule in place (same id, same cookie) and flushes
     /// the derived flow rules of every policy the arbitration inversion
-    /// invalidated, then republishes through the certification gate.
-    /// Returns `false` for unknown ids.
+    /// invalidated, then republishes through the certification gate (a
+    /// one-mutation commit). Returns `false` for unknown ids.
     pub fn re_rank_policy(&self, sim: &mut Sim, id: PolicyId, new_priority: u32) -> bool {
-        let flush = {
-            let mut inner = self.inner.borrow_mut();
-            let Some(flush) = inner.pm.re_rank(id, new_priority) else {
-                return false;
-            };
-            for policy in &flush {
-                inner.cache.invalidate_policy(*policy);
-            }
-            flush
+        let re_rank = PolicyMutation::ReRank {
+            id,
+            priority: new_priority,
         };
-        for policy in &flush {
-            self.flush_policy_rules(sim, *policy);
-        }
-        self.republish(sim, &flush);
-        true
+        self.commit_policy(sim, vec![re_rank]).applied > 0
     }
 
     /// Sends a delete-by-cookie to the one switch `dpid` — the targeted

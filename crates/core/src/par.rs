@@ -31,14 +31,15 @@
 //!
 //! The cooperative front-end's fanout was atomic by construction (it
 //! completed within one simulation event). Across threads the same
-//! guarantee is an explicit barrier: [`ParallelShardedDfi::insert_policy`]
-//! / `revoke_policy` publish to the shared store, send `Cmd::Epoch` down
-//! every channel, and **block until every worker acks** before admitting
-//! the next command of any kind. Because channels are FIFO, every command
-//! sent before the epoch is processed under the old snapshot on every
-//! shard, and everything after under the new one — channel nondeterminism
-//! is confined to *intra*-epoch ordering, which the differential oracle
-//! proves decision-irrelevant.
+//! guarantee is an explicit barrier: each commit
+//! ([`ParallelShardedDfi::commit_policy`]; `insert_policy` /
+//! `revoke_policy` are one-mutation commits) publishes once to the shared
+//! store, sends `Cmd::Epoch` down every channel, and **blocks until every
+//! worker acks** before admitting the next command of any kind. Because
+//! channels are FIFO, every command sent before the epoch is processed
+//! under the old snapshot on every shard, and everything after under the
+//! new one — channel nondeterminism is confined to *intra*-epoch ordering,
+//! which the differential oracle proves decision-irrelevant.
 //!
 //! # Why there are no locks on the decide path
 //!
@@ -69,7 +70,9 @@
 use crate::dfi::{BindingBatch, BindingOp, Dfi, DfiConfig, DfiMetrics};
 use crate::erm::Binding;
 use crate::events::SnapshotWitness;
-use crate::policy::{PolicyId, PolicyManager, PolicySnapshot, SharedSnapshotStore};
+use crate::policy::{
+    CommitOutcome, PolicyId, PolicyManager, PolicyMutation, PolicySnapshot, SharedSnapshotStore,
+};
 use crate::shard::{ShardFanoutMetrics, SNAPSHOT_RETENTION};
 use dfi_dataplane::Tx;
 use dfi_simnet::topo::shard_of;
@@ -441,43 +444,55 @@ impl ParallelShardedDfi {
         epoch
     }
 
-    /// Inserts a policy rule: gathers default-deny notes from every
-    /// worker, updates the fleet's one Policy Manager, fans cookie flushes
-    /// to every shard, then publishes through the epoch barrier. Mirrors
-    /// the cooperative front-end step for step.
+    /// Applies `mutations` as one policy commit across the worker fleet:
+    /// gathers default-deny notes from every worker (when the commit
+    /// inserts), applies the mutations to the fleet's one Policy Manager,
+    /// sends the union of their cookie flushes down every channel once,
+    /// then publishes through one epoch barrier. Mirrors the cooperative
+    /// front-end step for step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker hung up or answered out of protocol.
+    pub fn commit_policy(&mut self, mutations: Vec<PolicyMutation>) -> CommitOutcome {
+        if mutations.iter().any(PolicyMutation::is_insert) {
+            let mut noted = false;
+            for w in 0..self.workers.len() {
+                self.send(w, Cmd::TakeNote);
+            }
+            for w in &self.workers {
+                match w.reply.recv() {
+                    Ok(Reply::Note(b)) => noted |= b,
+                    other => panic!("expected a note reply, got {:?}", kind(&other)),
+                }
+            }
+            if noted {
+                self.pm.note_default_deny_cached();
+            }
+        }
+        let outcome = self.pm.commit(mutations);
+        if outcome.applied > 0 {
+            self.fanout_flushes(&outcome.flush);
+            self.republish(&outcome.flush);
+        }
+        outcome
+    }
+
+    /// Inserts a policy rule fleet-wide (a one-mutation commit).
     pub fn insert_policy(
         &mut self,
         rule: crate::policy::PolicyRule,
         priority: u32,
         pdp: &str,
     ) -> PolicyId {
-        let mut noted = false;
-        for w in 0..self.workers.len() {
-            self.send(w, Cmd::TakeNote);
-        }
-        for w in &self.workers {
-            match w.reply.recv() {
-                Ok(Reply::Note(b)) => noted |= b,
-                other => panic!("expected a note reply, got {:?}", kind(&other)),
-            }
-        }
-        if noted {
-            self.pm.note_default_deny_cached();
-        }
-        let (id, flush) = self.pm.insert(rule, priority, pdp);
-        self.fanout_flushes(&flush);
-        self.republish(&flush);
-        id
+        let outcome = self.commit_policy(vec![PolicyMutation::insert(rule, priority, pdp)]);
+        outcome.inserted[0]
     }
 
-    /// Revokes a policy rule fleet-wide. Returns `false` for unknown ids.
+    /// Revokes a policy rule fleet-wide (a one-mutation commit). Returns
+    /// `false` for unknown ids.
     pub fn revoke_policy(&mut self, id: PolicyId) -> bool {
-        let existed = self.pm.revoke(id);
-        if existed {
-            self.fanout_flushes(&[id]);
-            self.republish(&[id]);
-        }
-        existed
+        self.commit_policy(vec![PolicyMutation::Revoke(id)]).applied > 0
     }
 
     /// Installs the certification hook consulted before every publication.
@@ -496,7 +511,8 @@ impl ParallelShardedDfi {
     /// worker fleet: restores the front-end Policy Manager to the
     /// retained rule set, fans the diff's cookie flushes down every
     /// worker channel, and republishes through the certify → epoch
-    /// barrier. Returns `false` when `epoch` left the retention ring.
+    /// barrier (a one-mutation commit). Returns `false` when `epoch` left
+    /// the retention ring.
     pub fn rollback_snapshot(&mut self, epoch: u64) -> bool {
         let Some(target) = self
             .history
@@ -506,9 +522,7 @@ impl ParallelShardedDfi {
         else {
             return false;
         };
-        let flush = target.restore_into(&mut self.pm);
-        self.fanout_flushes(&flush);
-        self.republish(&flush);
+        self.commit_policy(vec![PolicyMutation::Restore(target)]);
         true
     }
 
@@ -523,7 +537,8 @@ impl ParallelShardedDfi {
     }
 
     /// Certify → compile once → publish to the shared store → `Epoch`
-    /// command down every channel → **block for every ack**. The barrier
+    /// command down every channel → **block for every ack**, once per
+    /// commit. The barrier
     /// is what preserves the no-two-epochs guarantee across threads: no
     /// later command of any kind is admitted until every shard serves the
     /// new epoch.

@@ -21,20 +21,25 @@
 //!   responder can cut a host off entirely, overriding everything below
 //!   its priority.
 //!
-//! PDPs never touch the data plane directly: every rule they emit goes
-//! through [`Dfi::insert_policy`], whose certify-then-publish pipeline
-//! compiles the mutated rule set into a fresh [`PolicySnapshot`], runs the
-//! incremental analyzer over the delta, and only then atomically swaps the
-//! snapshot the flow-setup path reads. A PDP whose rule would introduce an
-//! Allow/Deny conflict sees the mutation journaled but the publication
-//! refused (with witnesses on the bus) while the last certified snapshot
-//! keeps deciding flows — dynamic policy, but never a half-applied one.
+//! PDPs never touch the data plane directly. Each PDP event — an AT-RBAC
+//! log-on or log-off, an `activate`, a quarantine or release — goes out as
+//! one commit through [`Dfi::commit_policy`]: the Policy Manager applies
+//! the event's rules in order, each flushed cookie leaves the switches
+//! once, and one certify-then-publish pass compiles the committed rule set
+//! into a fresh [`PolicySnapshot`], runs the incremental analyzer over the
+//! whole delta, and only then atomically swaps the snapshot the flow-setup
+//! path reads. No state between two rules of one event is ever compiled,
+//! certified or served. A commit that would introduce an Allow/Deny
+//! conflict is refused as a whole: the Policy Manager keeps every mutation,
+//! none is served, witnesses go out on the bus, and the last certified
+//! snapshot keeps deciding flows until a later clean commit publishes them
+//! all — dynamic policy, but never a half-applied one.
 //!
 //! [`PolicySnapshot`]: crate::policy::PolicySnapshot
 
 use crate::dfi::Dfi;
 use crate::events::{topic, DfiEvent};
-use crate::policy::{EndpointPattern, PolicyId, PolicyRule, RbacRoles};
+use crate::policy::{EndpointPattern, PolicyId, PolicyMutation, PolicyRule, RbacRoles};
 use dfi_simnet::Sim;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -57,6 +62,40 @@ pub mod priority {
     pub const AT_RBAC: u32 = 20;
     /// Quarantine-upon-compromise.
     pub const QUARANTINE: u32 = 100;
+}
+
+/// The two role rules a host/peer pair gets, host → peer first.
+fn both_ways(host: &str, peer: &str) -> [PolicyRule; 2] {
+    [
+        PolicyRule::allow(EndpointPattern::host(host), EndpointPattern::host(peer)),
+        PolicyRule::allow(EndpointPattern::host(peer), EndpointPattern::host(host)),
+    ]
+}
+
+/// Every ordered pair of distinct servers (operational needs).
+fn server_mesh(roles: &RbacRoles) -> Vec<PolicyRule> {
+    let servers = roles.servers();
+    servers
+        .iter()
+        .flat_map(|a| {
+            servers
+                .iter()
+                .filter(move |b| *b != a)
+                .map(move |b| PolicyRule::allow(EndpointPattern::host(a), EndpointPattern::host(b)))
+        })
+        .collect()
+}
+
+/// One PDP's inserts of `rules`, in order.
+fn inserts(
+    rules: impl IntoIterator<Item = PolicyRule>,
+    priority: u32,
+    pdp: &str,
+) -> Vec<PolicyMutation> {
+    rules
+        .into_iter()
+        .map(|rule| PolicyMutation::insert(rule, priority, pdp))
+        .collect()
 }
 
 /// The baseline condition: a fully connected network with no access
@@ -105,48 +144,30 @@ impl SRbacPdp {
         }
     }
 
-    /// Emits the full static rule set.
+    /// Emits the full static rule set as one commit.
     pub fn activate(&mut self, sim: &mut Sim, dfi: &Dfi) {
-        let mut emit = |sim: &mut Sim, rule: PolicyRule| {
-            self.emitted
-                .push(dfi.insert_policy(sim, rule, priority::S_RBAC, "s-rbac"));
-        };
+        let mut rules = Vec::new();
         // Core services stay reachable for everyone (DHCP/DNS/AD et al.).
         for svc in self.roles.core_services() {
-            emit(
-                sim,
-                PolicyRule::allow(EndpointPattern::any(), EndpointPattern::host(svc)),
-            );
-            emit(
-                sim,
-                PolicyRule::allow(EndpointPattern::host(svc), EndpointPattern::any()),
-            );
+            rules.push(PolicyRule::allow(
+                EndpointPattern::any(),
+                EndpointPattern::host(svc),
+            ));
+            rules.push(PolicyRule::allow(
+                EndpointPattern::host(svc),
+                EndpointPattern::any(),
+            ));
         }
         // Per-host role rules.
-        let hosts: Vec<String> = self.roles.all_enclave_hosts().map(str::to_string).collect();
-        for host in &hosts {
+        for host in self.roles.all_enclave_hosts() {
             for peer in self.roles.role_peers(host) {
-                emit(
-                    sim,
-                    PolicyRule::allow(EndpointPattern::host(host), EndpointPattern::host(&peer)),
-                );
-                emit(
-                    sim,
-                    PolicyRule::allow(EndpointPattern::host(&peer), EndpointPattern::host(host)),
-                );
+                rules.extend(both_ways(host, &peer));
             }
         }
         // Servers may talk among themselves (operational needs).
-        for a in self.roles.servers() {
-            for b in self.roles.servers() {
-                if a != b {
-                    emit(
-                        sim,
-                        PolicyRule::allow(EndpointPattern::host(a), EndpointPattern::host(b)),
-                    );
-                }
-            }
-        }
+        rules.extend(server_mesh(&self.roles));
+        let commit = inserts(rules, priority::S_RBAC, "s-rbac");
+        self.emitted = dfi.commit_policy(sim, commit).inserted;
     }
 
     /// Ids of every rule this PDP emitted.
@@ -190,47 +211,24 @@ impl AtRbacPdp {
     /// unconditional role access for servers (servers have no interactive
     /// users).
     pub fn activate(sim: &mut Sim, dfi: &Dfi, roles: RbacRoles) -> AtRbacPdp {
-        let mut baseline = Vec::new();
+        let mut rules = Vec::new();
         for svc in roles.core_services() {
             // Only the authentication-path ports are reachable with no
             // user: the "small set of services needed to authenticate".
             for port in AUTH_SERVICE_PORTS {
-                baseline.push(dfi.insert_policy(
-                    sim,
-                    PolicyRule::allow(
-                        EndpointPattern::any(),
-                        EndpointPattern::host_port(svc, port),
-                    ),
-                    priority::AT_RBAC,
-                    "at-rbac",
+                rules.push(PolicyRule::allow(
+                    EndpointPattern::any(),
+                    EndpointPattern::host_port(svc, port),
                 ));
-                baseline.push(dfi.insert_policy(
-                    sim,
-                    PolicyRule::allow(
-                        EndpointPattern {
-                            hostname: crate::policy::WildName::is(svc),
-                            port: crate::policy::Wild::Is(port),
-                            ..EndpointPattern::any()
-                        },
-                        EndpointPattern::any(),
-                    ),
-                    priority::AT_RBAC,
-                    "at-rbac",
+                rules.push(PolicyRule::allow(
+                    EndpointPattern::host_port(svc, port),
+                    EndpointPattern::any(),
                 ));
             }
         }
-        for a in roles.servers() {
-            for b in roles.servers() {
-                if a != b {
-                    baseline.push(dfi.insert_policy(
-                        sim,
-                        PolicyRule::allow(EndpointPattern::host(a), EndpointPattern::host(b)),
-                        priority::AT_RBAC,
-                        "at-rbac",
-                    ));
-                }
-            }
-        }
+        rules.extend(server_mesh(&roles));
+        let commit = inserts(rules, priority::AT_RBAC, "at-rbac");
+        let baseline = dfi.commit_policy(sim, commit).inserted;
         let pdp = AtRbacPdp {
             inner: Rc::new(RefCell::new(AtRbacInner {
                 roles,
@@ -275,27 +273,14 @@ impl AtRbacPdp {
             let i = inner.borrow();
             (i.dfi.clone(), i.roles.role_peers(host))
         };
-        let mut rules = Vec::new();
-        for peer in peers {
-            rules.push(dfi.insert_policy(
-                sim,
-                PolicyRule::allow(EndpointPattern::host(host), EndpointPattern::host(&peer)),
-                priority::AT_RBAC,
-                "at-rbac",
-            ));
-            rules.push(dfi.insert_policy(
-                sim,
-                PolicyRule::allow(EndpointPattern::host(&peer), EndpointPattern::host(host)),
-                priority::AT_RBAC,
-                "at-rbac",
-            ));
-        }
+        let rules = peers.iter().flat_map(|peer| both_ways(host, peer));
+        let outcome = dfi.commit_policy(sim, inserts(rules, priority::AT_RBAC, "at-rbac"));
         inner
             .borrow_mut()
             .active
             .get_mut(host)
             .expect("grant exists")
-            .rules = rules;
+            .rules = outcome.inserted;
     }
 
     fn on_log_off(inner: &Rc<RefCell<AtRbacInner>>, sim: &mut Sim, host: &str) {
@@ -316,9 +301,10 @@ impl AtRbacPdp {
             }
         };
         let dfi = inner.borrow().dfi.clone();
-        for id in to_revoke {
-            dfi.revoke_policy(sim, id);
-        }
+        dfi.commit_policy(
+            sim,
+            to_revoke.into_iter().map(PolicyMutation::Revoke).collect(),
+        );
     }
 
     /// Number of hosts currently holding an active grant.
@@ -338,7 +324,7 @@ impl AtRbacPdp {
 /// two maximum-priority deny rules; releasing revokes them (and DFI's
 /// consistency machinery re-evaluates ongoing flows both times).
 pub struct QuarantinePdp {
-    quarantined: HashMap<String, [PolicyId; 2]>,
+    quarantined: HashMap<String, Vec<PolicyId>>,
     remediated: Vec<PolicyId>,
     applied_repairs: Vec<String>,
 }
@@ -427,32 +413,25 @@ impl QuarantinePdp {
         &self.applied_repairs
     }
 
-    /// Cuts `host` off from the network in both directions.
+    /// Cuts `host` off from the network in both directions: both denies
+    /// go out as one commit, so they are served together or not at all.
     pub fn quarantine(&mut self, sim: &mut Sim, dfi: &Dfi, host: &str) {
         if self.quarantined.contains_key(host) {
             return;
         }
-        let out = dfi.insert_policy(
-            sim,
+        let denies = [
             PolicyRule::deny(EndpointPattern::host(host), EndpointPattern::any()),
-            priority::QUARANTINE,
-            "quarantine",
-        );
-        let inbound = dfi.insert_policy(
-            sim,
             PolicyRule::deny(EndpointPattern::any(), EndpointPattern::host(host)),
-            priority::QUARANTINE,
-            "quarantine",
-        );
-        self.quarantined.insert(host.to_string(), [out, inbound]);
+        ];
+        let commit = inserts(denies, priority::QUARANTINE, "quarantine");
+        let outcome = dfi.commit_policy(sim, commit);
+        self.quarantined.insert(host.to_string(), outcome.inserted);
     }
 
-    /// Restores a quarantined host.
+    /// Restores a quarantined host, revoking both denies as one commit.
     pub fn release(&mut self, sim: &mut Sim, dfi: &Dfi, host: &str) {
         if let Some(rules) = self.quarantined.remove(host) {
-            for id in rules {
-                dfi.revoke_policy(sim, id);
-            }
+            dfi.commit_policy(sim, rules.into_iter().map(PolicyMutation::Revoke).collect());
         }
     }
 

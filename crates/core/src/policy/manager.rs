@@ -17,6 +17,12 @@
 //! 2. **Revocation** — removing a policy also flushes its derived flow
 //!    rules.
 //!
+//! A PDP event that writes several rules hands them over as one
+//! [`PolicyManager::commit`]: the mutations apply in order, exactly as
+//! the single-mutation methods would, and the commit returns the new ids
+//! plus the union of their flush lists, so the control plane certifies,
+//! compiles and publishes the whole batch once.
+//!
 //! The manager itself is pure logic; the surrounding control plane
 //! (`crate::Dfi`) models its MySQL query latency with a queueing station.
 //!
@@ -53,9 +59,11 @@
 //! every stored rule anyway.
 
 use crate::policy::model::{FlowView, PolicyAction, PolicyRule, Wild, WildName};
+use crate::policy::PolicySnapshot;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// `true` when `rule` admits `flow`'s identifiers with L4 ports ignored —
 /// i.e. the rule could match some member of the flow's port-wildcard class.
@@ -118,6 +126,63 @@ pub enum PolicyDelta {
         /// The priority it had before.
         old_priority: u32,
     },
+}
+
+/// One mutation of a policy commit (see [`PolicyManager::commit`]).
+#[derive(Clone, Debug)]
+pub enum PolicyMutation {
+    /// Insert a rule on behalf of a PDP.
+    Insert {
+        /// The rule (boxed: it dwarfs the other variants).
+        rule: Box<PolicyRule>,
+        /// Priority inherited from the emitting PDP.
+        priority: u32,
+        /// Name of the emitting PDP.
+        pdp: String,
+    },
+    /// Revoke a stored rule; an unknown id is skipped.
+    Revoke(PolicyId),
+    /// Change a stored rule's priority in place; an unknown id is skipped.
+    ReRank {
+        /// The rule to re-rank.
+        id: PolicyId,
+        /// Its new priority.
+        priority: u32,
+    },
+    /// Rewrite the store to a retained snapshot's rule set (rollback).
+    Restore(Arc<PolicySnapshot>),
+}
+
+impl PolicyMutation {
+    /// A [`PolicyMutation::Insert`].
+    #[must_use]
+    pub fn insert(rule: PolicyRule, priority: u32, pdp: &str) -> PolicyMutation {
+        PolicyMutation::Insert {
+            rule: Box::new(rule),
+            priority,
+            pdp: pdp.to_string(),
+        }
+    }
+
+    /// `true` for a [`PolicyMutation::Insert`] — the mutations that
+    /// consume the hot path's default-deny note.
+    #[must_use]
+    pub fn is_insert(&self) -> bool {
+        matches!(self, PolicyMutation::Insert { .. })
+    }
+}
+
+/// What one [`PolicyManager::commit`] did.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CommitOutcome {
+    /// The ids of the inserted rules, in mutation order.
+    pub inserted: Vec<PolicyId>,
+    /// Sorted, de-duplicated union of every mutation's flush list: the
+    /// cookies whose derived flow rules must leave the switches.
+    pub flush: Vec<PolicyId>,
+    /// Mutations that found their target (inserts and restores always
+    /// do; a revoke or re-rank of an unknown id does not).
+    pub applied: usize,
 }
 
 /// The verdict for one flow.
@@ -413,6 +478,45 @@ impl PolicyManager {
             old_priority,
         });
         Some(flush)
+    }
+
+    /// Applies an ordered batch of mutations as one commit, each exactly
+    /// as its single-mutation method would (an insert sees the rules the
+    /// commit inserted before it), and returns the new ids in order plus
+    /// the union of the flush lists. The journal records every mutation,
+    /// so one certification covers the whole commit.
+    pub fn commit(&mut self, mutations: impl IntoIterator<Item = PolicyMutation>) -> CommitOutcome {
+        let mut out = CommitOutcome::default();
+        for mutation in mutations {
+            match mutation {
+                PolicyMutation::Insert {
+                    rule,
+                    priority,
+                    pdp,
+                } => {
+                    let (id, flush) = self.insert(*rule, priority, &pdp);
+                    out.inserted.push(id);
+                    out.flush.extend(flush);
+                }
+                PolicyMutation::Revoke(id) => {
+                    if !self.revoke(id) {
+                        continue;
+                    }
+                    out.flush.push(id);
+                }
+                PolicyMutation::ReRank { id, priority } => {
+                    let Some(flush) = self.re_rank(id, priority) else {
+                        continue;
+                    };
+                    out.flush.extend(flush);
+                }
+                PolicyMutation::Restore(snapshot) => out.flush.extend(snapshot.restore_into(self)),
+            }
+            out.applied += 1;
+        }
+        out.flush.sort_unstable();
+        out.flush.dedup();
+        out
     }
 
     /// Records that a default-deny flow rule (cookie [`DEFAULT_DENY_ID`])
@@ -1413,5 +1517,51 @@ mod tests {
         let (b, _) = pm.insert(PolicyRule::allow_all(), 1, "p");
         assert!(b > a);
         assert_ne!(a, DEFAULT_DENY_ID);
+    }
+
+    #[test]
+    fn commit_equals_the_same_mutations_one_by_one() {
+        let mut pm = PolicyManager::new();
+        let (allow, _) = pm.insert(
+            PolicyRule::allow(EndpointPattern::any(), EndpointPattern::user("bob")),
+            5,
+            "p",
+        );
+        let (other, _) = pm.insert(
+            PolicyRule::allow(EndpointPattern::user("eve"), EndpointPattern::any()),
+            5,
+            "p",
+        );
+        pm.note_default_deny_cached();
+        let mut one_by_one = pm.clone();
+        let deny = PolicyRule::deny(EndpointPattern::user("alice"), EndpointPattern::any());
+        let grant = PolicyRule::allow(EndpointPattern::user("carol"), EndpointPattern::any());
+
+        let outcome = pm.commit([
+            PolicyMutation::insert(deny.clone(), 9, "p"),
+            PolicyMutation::Revoke(other),
+            PolicyMutation::Revoke(PolicyId(999)),
+            PolicyMutation::ReRank {
+                id: allow,
+                priority: 20,
+            },
+            PolicyMutation::insert(grant.clone(), 5, "p"),
+        ]);
+
+        let (d, mut flush) = one_by_one.insert(deny, 9, "p");
+        assert!(one_by_one.revoke(other));
+        flush.push(other);
+        flush.extend(one_by_one.re_rank(allow, 20).unwrap());
+        let (g, more) = one_by_one.insert(grant, 5, "p");
+        flush.extend(more);
+        flush.sort_unstable();
+        flush.dedup();
+        assert_eq!(outcome.inserted, vec![d, g]);
+        assert_eq!(outcome.flush, flush);
+        assert_eq!(outcome.applied, 4, "the unknown revoke is skipped");
+        assert!(outcome.flush.contains(&DEFAULT_DENY_ID));
+        assert_eq!(pm.revision(), one_by_one.revision());
+        let ids = |pm: &PolicyManager| pm.iter().map(|p| (p.id, p.priority)).collect::<Vec<_>>();
+        assert_eq!(ids(&pm), ids(&one_by_one));
     }
 }

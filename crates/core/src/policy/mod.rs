@@ -7,7 +7,8 @@ mod roles;
 mod snapshot;
 
 pub use manager::{
-    Decision, PolicyDelta, PolicyId, PolicyIndexStats, PolicyManager, StoredPolicy, DEFAULT_DENY_ID,
+    CommitOutcome, Decision, PolicyDelta, PolicyId, PolicyIndexStats, PolicyManager,
+    PolicyMutation, StoredPolicy, DEFAULT_DENY_ID,
 };
 pub use model::{
     EndpointPattern, EndpointView, FlowProperties, FlowView, PolicyAction, PolicyRule, Wild,

@@ -15,10 +15,11 @@
 //!   `SnapshotStore` reader, and its own ERM replica. A switch's entire
 //!   packet-in/install/flush lifecycle happens on its owning shard.
 //! * **Policy truth.** The front-end owns the one [`PolicyManager`].
-//!   Mutations ([`ShardedDfi::insert_policy`] / `revoke_policy`) update it,
-//!   fan the resulting cookie flushes to every shard (cache invalidation
-//!   at the same point as the switch-side flush, exactly like the
-//!   unsharded path), then compile **once** and publish the same
+//!   A commit ([`ShardedDfi::commit_policy`]; `insert_policy` /
+//!   `revoke_policy` are one-mutation commits) updates it, fans the union
+//!   of the resulting cookie flushes to every shard once (cache
+//!   invalidation at the same point as the switch-side flush, exactly like
+//!   the unsharded path), then compiles **once** and publishes the same
 //!   `Arc<PolicySnapshot>` into every shard's store. The fanout is atomic
 //!   with respect to the simulation: it completes within one event, so no
 //!   two shards ever serve different certified epochs to the same flow's
@@ -56,7 +57,9 @@
 use crate::dfi::{binding_op_of_event, BindingBatch, BindingOp, Dfi, DfiConfig, DfiMetrics};
 use crate::erm::Binding;
 use crate::events::{topic, DfiEvent, SnapshotWitness};
-use crate::policy::{PolicyId, PolicyManager, PolicyRule, PolicySnapshot};
+use crate::policy::{
+    CommitOutcome, PolicyId, PolicyManager, PolicyMutation, PolicyRule, PolicySnapshot,
+};
 use dfi_bus::Bus;
 use dfi_dataplane::{ByteSink, Switch};
 use dfi_simnet::topo::shard_of;
@@ -107,9 +110,6 @@ struct FrontInner {
     /// publication.
     deferred_flushes: Vec<PolicyId>,
     gate: Option<ShardSnapshotGate>,
-    /// Suppresses the `with_pm` resync while the gate runs (the Policy
-    /// Manager legitimately leads the stores at that instant).
-    certifying: bool,
     metrics: ShardFanoutMetrics,
 }
 
@@ -147,7 +147,6 @@ impl ShardedDfi {
                 publish_deferred: false,
                 deferred_flushes: Vec::new(),
                 gate: None,
-                certifying: false,
                 metrics: ShardFanoutMetrics::default(),
             })),
             bus,
@@ -283,9 +282,37 @@ impl ShardedDfi {
     // Policy mutations: flush fanout, certify, snapshot fanout
     // ------------------------------------------------------------------
 
-    /// Inserts a policy rule, fanning cookie flushes and the certified
-    /// snapshot to every shard. Mirrors [`Dfi::insert_policy`] step for
+    /// Applies `mutations` as one policy commit fleet-wide: gathers the
+    /// default-deny notes from every shard (when the commit inserts),
+    /// applies the mutations to the front-end Policy Manager, fans the
+    /// union of their cookie flushes to every shard once, then certifies
+    /// and fans out one snapshot. Mirrors [`Dfi::commit_policy`] step for
     /// step so the sharded system stays decision-equivalent.
+    pub fn commit_policy(&self, sim: &mut Sim, mutations: Vec<PolicyMutation>) -> CommitOutcome {
+        // Gather the hot path's default-deny notes from every shard before
+        // the inserts, exactly where the unsharded path forwards its own
+        // note.
+        let mut noted = false;
+        if mutations.iter().any(PolicyMutation::is_insert) {
+            for s in self.shards.iter() {
+                noted |= s.take_default_deny_note();
+            }
+        }
+        let outcome = {
+            let mut inner = self.inner.borrow_mut();
+            if noted {
+                inner.pm.note_default_deny_cached();
+            }
+            inner.pm.commit(mutations)
+        };
+        if outcome.applied > 0 {
+            self.fanout_flushes(sim, &outcome.flush);
+            self.republish(sim, &outcome.flush);
+        }
+        outcome
+    }
+
+    /// Inserts a policy rule fleet-wide (a one-mutation commit).
     pub fn insert_policy(
         &self,
         sim: &mut Sim,
@@ -293,41 +320,23 @@ impl ShardedDfi {
         priority: u32,
         pdp: &str,
     ) -> PolicyId {
-        let (id, flush) = {
-            // Gather the hot path's default-deny notes from every shard
-            // before the insert, exactly where the unsharded path forwards
-            // its own note.
-            let mut noted = false;
-            for s in self.shards.iter() {
-                noted |= s.take_default_deny_note();
-            }
-            let mut inner = self.inner.borrow_mut();
-            if noted {
-                inner.pm.note_default_deny_cached();
-            }
-            inner.pm.insert(rule, priority, pdp)
-        };
-        self.fanout_flushes(sim, &flush);
-        self.republish(sim, &flush);
-        id
+        let outcome = self.commit_policy(sim, vec![PolicyMutation::insert(rule, priority, pdp)]);
+        outcome.inserted[0]
     }
 
-    /// Revokes a policy rule fleet-wide. Returns `false` for unknown ids.
+    /// Revokes a policy rule fleet-wide (a one-mutation commit). Returns
+    /// `false` for unknown ids.
     pub fn revoke_policy(&self, sim: &mut Sim, id: PolicyId) -> bool {
-        let existed = self.inner.borrow_mut().pm.revoke(id);
-        if existed {
-            self.fanout_flushes(sim, &[id]);
-            self.republish(sim, &[id]);
-        }
-        existed
+        let outcome = self.commit_policy(sim, vec![PolicyMutation::Revoke(id)]);
+        outcome.applied > 0
     }
 
     /// One-command rollback to a retained snapshot epoch, fleet-wide: the
     /// front-end Policy Manager is restored to the retained snapshot's
-    /// exact rule set (same ids, same priorities), the diff's cookie
-    /// flushes fan out to every shard, and the restored state is
-    /// re-certified and republished through the normal fanout. Returns
-    /// `false` when `epoch` is no longer on the retention ring.
+    /// rule set, the diff's cookie flushes fan out to every shard, and
+    /// the restored state is re-certified and republished through the
+    /// normal fanout (a one-mutation commit). Returns `false` when
+    /// `epoch` is no longer on the retention ring.
     pub fn rollback_snapshot(&self, sim: &mut Sim, epoch: u64) -> bool {
         let Some(target) = self.shards[0]
             .snapshot_history()
@@ -336,12 +345,7 @@ impl ShardedDfi {
         else {
             return false;
         };
-        let flush = {
-            let mut inner = self.inner.borrow_mut();
-            target.restore_into(&mut inner.pm)
-        };
-        self.fanout_flushes(sim, &flush);
-        self.republish(sim, &flush);
+        self.commit_policy(sim, vec![PolicyMutation::Restore(target)]);
         true
     }
 
@@ -363,17 +367,14 @@ impl ShardedDfi {
         }
     }
 
-    /// Certify → compile once → publish everywhere. A gate refusal defers
-    /// publication: no shard is touched, all keep serving the prior epoch.
+    /// Certify → compile once → publish everywhere, once per commit. A
+    /// gate refusal defers the whole commit: no shard is touched, all keep
+    /// serving the prior epoch.
     /// The first clean publication after a deferral is a recovery: every
     /// shard bulk-expires stale cache entries and the deferred flushes are
     /// re-issued fleet-wide.
     fn republish(&self, sim: &mut Sim, flush_hint: &[PolicyId]) {
-        let gate = {
-            let mut inner = self.inner.borrow_mut();
-            inner.certifying = true;
-            inner.gate.take()
-        };
+        let gate = self.inner.borrow_mut().gate.take();
         let witnesses = match gate {
             Some(mut hook) => {
                 let w = hook(sim, self);
@@ -382,7 +383,6 @@ impl ShardedDfi {
             }
             None => Vec::new(),
         };
-        self.inner.borrow_mut().certifying = false;
         if witnesses.is_empty() {
             let (snap, recovered, event) = {
                 let mut inner = self.inner.borrow_mut();
@@ -438,13 +438,13 @@ impl ShardedDfi {
     /// single source of policy truth). Like [`Dfi::with_pm`] this is the
     /// raw backdoor: if the closure mutated the store, the compiled
     /// snapshot is re-fanned immediately — bypassing certification,
-    /// flushes, and events — except while the gate itself is running.
+    /// flushes, and events. A closure that only reads re-fans nothing.
     pub fn with_pm<R>(&self, f: impl FnOnce(&mut PolicyManager) -> R) -> R {
         let (r, resync) = {
             let mut inner = self.inner.borrow_mut();
+            let revision = inner.pm.revision();
             let r = f(&mut inner.pm);
-            let stale = inner.pm.revision() != self.shards[0].snapshot().revision();
-            if !inner.certifying && stale {
+            if inner.pm.revision() != revision {
                 inner.next_epoch += 1;
                 let epoch = inner.next_epoch;
                 let snap = Arc::new(PolicySnapshot::compile(&inner.pm, epoch));

@@ -1,6 +1,7 @@
 //! The shared differential-trace harness: one seeded script of flows,
 //! policy mutations (each a live snapshot swap), DHCP moves, and session
-//! toggles, plus the per-step decision delta both `sharded_oracle.rs`
+//! toggles — in a second variant with multi-mutation policy commits mixed
+//! in — plus the per-step decision delta both `sharded_oracle.rs`
 //! (cooperative shards) and `threaded_oracle.rs` (worker threads) compare
 //! against the unsharded oracle. Keeping the generator here guarantees the
 //! two suites replay the *identical* byte-for-byte trace.
@@ -11,7 +12,9 @@
 
 use dfi_controller::Controller;
 use dfi_core::events::{topic, DfiEvent};
-use dfi_core::policy::{EndpointPattern, PolicyId, PolicyRule, Wild};
+use dfi_core::policy::{
+    CommitOutcome, EndpointPattern, PolicyId, PolicyMutation, PolicyRule, Wild,
+};
 use dfi_core::{Dfi, DfiConfig, ShardedDfi};
 use dfi_dataplane::{Network, Switch, Tx};
 use dfi_packet::headers::build;
@@ -71,18 +74,32 @@ pub enum Step {
     /// Host `src` sends a TCP SYN to host `dst`.
     Flow { src: usize, dst: usize, dport: u16 },
     /// Insert a policy rule (always a snapshot swap).
-    Insert {
-        allow: bool,
-        src_pat: Pat,
-        dst_pat: Pat,
-        priority: u32,
-    },
+    Insert(RuleSpec),
     /// Revoke the k-th live inserted rule (mod live count).
     Revoke { k: usize },
+    /// One policy commit (one snapshot swap): re-rank one live inserted
+    /// rule and revoke another (each the k-th, mod live count, when set
+    /// and any is live), then insert `rules` in order as one group.
+    Commit {
+        rerank: Option<(usize, u32)>,
+        revoke: Option<usize>,
+        rules: Vec<RuleSpec>,
+    },
+    /// Revoke the k-th live commit group (mod live count) as one commit.
+    RevokeCommit { k: usize },
     /// DHCP + DNS move host to a fresh IP.
     Move { host: usize },
     /// Toggle the host's user session (log-off / log-on alternating).
     Toggle { host: usize },
+}
+
+/// One rule an [`Step::Insert`] or [`Step::Commit`] inserts.
+#[derive(Clone, Debug)]
+pub struct RuleSpec {
+    pub allow: bool,
+    pub src_pat: Pat,
+    pub dst_pat: Pat,
+    pub priority: u32,
 }
 
 /// An endpoint pattern choice, resolved against the topology at replay.
@@ -97,10 +114,63 @@ pub enum Pat {
 /// Generates the shared trace. Pure function of the seed: every system
 /// replays the identical list.
 pub fn trace(seed: u64, steps: usize, n_hosts: usize) -> Vec<Step> {
+    generate(seed, steps, n_hosts, 0.0)
+}
+
+/// The shared trace with policy commits mixed in: before each step, with
+/// probability 0.2, a [`Step::Commit`] of 2–6 inserts (plus, sometimes, a
+/// re-rank and a revoke of single inserts) or a [`Step::RevokeCommit`] of
+/// a live group takes the step's place.
+pub fn commit_trace(seed: u64, steps: usize, n_hosts: usize) -> Vec<Step> {
+    generate(seed, steps, n_hosts, 0.2)
+}
+
+fn rule_spec(rng: &mut SimRng, n_hosts: usize) -> RuleSpec {
+    let pat = |r: &mut SimRng| match r.index(4) {
+        0 => Pat::Any,
+        1 => Pat::User(r.index(n_hosts)),
+        2 => Pat::Host(r.index(n_hosts)),
+        _ => Pat::Ip(r.index(n_hosts)),
+    };
+    RuleSpec {
+        allow: rng.chance(0.7),
+        src_pat: pat(rng),
+        dst_pat: pat(rng),
+        priority: 10 * (1 + rng.range_u64(0, 4) as u32),
+    }
+}
+
+/// With `commit_share == 0` no commit roll is drawn, so [`trace`] keeps
+/// the plain script's random stream step for step.
+fn generate(seed: u64, steps: usize, n_hosts: usize, commit_share: f64) -> Vec<Step> {
     let mut rng = SimRng::new(seed ^ 0x0AC1E);
     let mut live_inserts = 0usize;
+    let mut live_groups = 0usize;
     (0..steps)
         .map(|_| {
+            if commit_share > 0.0 && rng.chance(commit_share) {
+                if live_groups > 0 && rng.chance(0.4) {
+                    live_groups -= 1;
+                    return Step::RevokeCommit {
+                        k: rng.index(1 << 16),
+                    };
+                }
+                live_groups += 1;
+                let rerank = rng
+                    .chance(0.3)
+                    .then(|| (rng.index(1 << 16), 10 * (1 + rng.range_u64(0, 4) as u32)));
+                let revoke = (live_inserts > 0 && rng.chance(0.5)).then(|| {
+                    live_inserts -= 1;
+                    rng.index(1 << 16)
+                });
+                let k = 2 + rng.index(5);
+                let rules = (0..k).map(|_| rule_spec(&mut rng, n_hosts)).collect();
+                return Step::Commit {
+                    rerank,
+                    revoke,
+                    rules,
+                };
+            }
             let roll = rng.next_f64();
             if roll < 0.40 {
                 let src = rng.index(n_hosts);
@@ -115,18 +185,7 @@ pub fn trace(seed: u64, steps: usize, n_hosts: usize) -> Vec<Step> {
                 }
             } else if roll < 0.62 || live_inserts == 0 {
                 live_inserts += 1;
-                let pat = |r: &mut SimRng| match r.index(4) {
-                    0 => Pat::Any,
-                    1 => Pat::User(r.index(n_hosts)),
-                    2 => Pat::Host(r.index(n_hosts)),
-                    _ => Pat::Ip(r.index(n_hosts)),
-                };
-                Step::Insert {
-                    allow: rng.chance(0.7),
-                    src_pat: pat(&mut rng),
-                    dst_pat: pat(&mut rng),
-                    priority: 10 * (1 + rng.range_u64(0, 4) as u32),
-                }
+                Step::Insert(rule_spec(&mut rng, n_hosts))
             } else if roll < 0.77 {
                 live_inserts = live_inserts.saturating_sub(1);
                 Step::Revoke {
@@ -159,20 +218,77 @@ pub fn pattern(topo: &Topology, host_ip: &[Ipv4Addr], p: &Pat) -> EndpointPatter
     }
 }
 
-/// Builds the rule an [`Step::Insert`] step inserts.
-pub fn insert_rule(
-    topo: &Topology,
-    host_ip: &[Ipv4Addr],
-    allow: bool,
-    src_pat: &Pat,
-    dst_pat: &Pat,
-) -> PolicyRule {
-    let src = pattern(topo, host_ip, src_pat);
-    let dst = pattern(topo, host_ip, dst_pat);
-    if allow {
+/// Builds the rule a [`RuleSpec`] inserts.
+pub fn insert_rule(topo: &Topology, host_ip: &[Ipv4Addr], spec: &RuleSpec) -> PolicyRule {
+    let src = pattern(topo, host_ip, &spec.src_pat);
+    let dst = pattern(topo, host_ip, &spec.dst_pat);
+    if spec.allow {
         PolicyRule::allow(src, dst)
     } else {
         PolicyRule::deny(src, dst)
+    }
+}
+
+/// The live policy ids a replay tracks, and the mutation lists the policy
+/// steps turn into against them — shared so every system resolves the
+/// trace's `k`-th-live indices identically.
+#[derive(Default)]
+pub struct LivePolicies {
+    /// Live single inserts, in insertion order.
+    pub inserted: Vec<PolicyId>,
+    /// Live commit groups, in commit order.
+    pub groups: Vec<Vec<PolicyId>>,
+}
+
+impl LivePolicies {
+    /// The mutations of a [`Step::Commit`] or [`Step::RevokeCommit`]
+    /// (none for other steps). Revoked ids leave the live lists here; the
+    /// inserted ids join them through [`LivePolicies::record`].
+    pub fn mutations(
+        &mut self,
+        topo: &Topology,
+        host_ip: &[Ipv4Addr],
+        step: &Step,
+    ) -> Vec<PolicyMutation> {
+        match step {
+            Step::Commit {
+                rerank,
+                revoke,
+                rules,
+            } => {
+                let mut muts = Vec::new();
+                let live = self.inserted.len();
+                if let Some((k, priority)) = rerank.filter(|_| live > 0) {
+                    let id = self.inserted[k % live];
+                    muts.push(PolicyMutation::ReRank { id, priority });
+                }
+                if let Some(k) = revoke.filter(|_| live > 0) {
+                    let id = self.inserted.remove(k % live);
+                    muts.push(PolicyMutation::Revoke(id));
+                }
+                muts.extend(rules.iter().map(|spec| {
+                    let rule = insert_rule(topo, host_ip, spec);
+                    PolicyMutation::insert(rule, spec.priority, "oracle-trace")
+                }));
+                muts
+            }
+            Step::RevokeCommit { k } => {
+                let group = if self.groups.is_empty() {
+                    Vec::new()
+                } else {
+                    self.groups.remove(k % self.groups.len())
+                };
+                group.into_iter().map(PolicyMutation::Revoke).collect()
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    /// Records a commit's inserted ids as one live group.
+    pub fn record(&mut self, inserted: Vec<PolicyId>) {
+        if !inserted.is_empty() {
+            self.groups.push(inserted);
+        }
     }
 }
 
@@ -202,19 +318,26 @@ pub struct StepDelta {
     pub spoof_denied: u64,
     pub by_policy: BTreeMap<u64, u64>,
     pub deliveries: Vec<u64>,
+    /// The snapshot epoch served after the step (`u64::MAX` when shards
+    /// disagree) — absolute, not a delta.
+    pub epoch: u64,
 }
 
 impl StepDelta {
     /// Reads the cumulative decision-visible state from a metrics snapshot
-    /// plus per-host delivery counters.
+    /// plus per-host delivery counters and the served epoch(s).
     #[must_use]
-    pub fn cumulative(m: &dfi_core::DfiMetrics, deliveries: Vec<u64>) -> StepDelta {
+    pub fn cumulative(m: &dfi_core::DfiMetrics, deliveries: Vec<u64>, epochs: &[u64]) -> StepDelta {
         StepDelta {
             allowed: m.allowed,
             denied: m.denied,
             spoof_denied: m.spoof_denied,
             by_policy: m.decisions_by_policy.clone(),
             deliveries,
+            epoch: match epochs {
+                [first, rest @ ..] if rest.iter().all(|e| e == first) => *first,
+                _ => u64::MAX,
+            },
         }
     }
 
@@ -240,6 +363,7 @@ impl StepDelta {
                 .zip(last.deliveries.iter().chain(std::iter::repeat(&0)))
                 .map(|(a, b)| a - b)
                 .collect(),
+            epoch: now.epoch,
         }
     }
 }
@@ -272,6 +396,21 @@ impl System {
         }
     }
 
+    pub fn commit(&self, sim: &mut Sim, mutations: Vec<PolicyMutation>) -> CommitOutcome {
+        match self {
+            System::Oracle(d) => d.commit_policy(sim, mutations),
+            System::Sharded(s) => s.commit_policy(sim, mutations),
+        }
+    }
+
+    /// The served snapshot epoch of every shard (the oracle's one).
+    pub fn served_epochs(&self) -> Vec<u64> {
+        match self {
+            System::Oracle(d) => vec![d.snapshot().epoch()],
+            System::Sharded(s) => s.served_epochs(),
+        }
+    }
+
     pub fn metrics(&self) -> dfi_core::DfiMetrics {
         match self {
             System::Oracle(d) => d.metrics(),
@@ -301,8 +440,8 @@ pub struct World {
     pub logged_on: Vec<bool>,
     /// Fresh-IP counter for moves.
     pub next_fresh: u32,
-    /// Live inserted policy ids, in insertion order.
-    pub inserted: Vec<PolicyId>,
+    /// Live policy ids (single inserts and commit groups).
+    pub live: LivePolicies,
     /// Metric readings at the last step boundary.
     pub last: StepDelta,
 }
@@ -454,7 +593,7 @@ pub fn build_world(seed: u64, shards: Option<usize>) -> World {
         host_ip,
         logged_on,
         next_fresh: 0,
-        inserted: Vec::new(),
+        live: LivePolicies::default(),
         last: StepDelta::default(),
     }
 }
@@ -467,21 +606,21 @@ impl World {
                 let frame = syn_frame(topo, &self.host_ip, *src, *dst, *dport);
                 self.tx[*src].send(&mut self.sim, frame);
             }
-            Step::Insert {
-                allow,
-                src_pat,
-                dst_pat,
-                priority,
-            } => {
-                let rule = insert_rule(topo, &self.host_ip, *allow, src_pat, dst_pat);
-                let id = self.system.insert(&mut self.sim, rule, *priority);
-                self.inserted.push(id);
+            Step::Insert(spec) => {
+                let rule = insert_rule(topo, &self.host_ip, spec);
+                let id = self.system.insert(&mut self.sim, rule, spec.priority);
+                self.live.inserted.push(id);
             }
             Step::Revoke { k } => {
-                if !self.inserted.is_empty() {
-                    let id = self.inserted.remove(k % self.inserted.len());
+                if !self.live.inserted.is_empty() {
+                    let id = self.live.inserted.remove(k % self.live.inserted.len());
                     self.system.revoke(&mut self.sim, id);
                 }
+            }
+            Step::Commit { .. } | Step::RevokeCommit { .. } => {
+                let muts = self.live.mutations(topo, &self.host_ip, step);
+                let outcome = self.system.commit(&mut self.sim, muts);
+                self.live.record(outcome.inserted);
             }
             Step::Move { host } => {
                 let h = &topo.hosts[*host];
@@ -510,7 +649,11 @@ impl World {
         }
         self.sim.run();
         let deliveries: Vec<u64> = self.rx.iter().map(|c| *c.borrow()).collect();
-        let now = StepDelta::cumulative(&self.system.metrics(), deliveries);
+        let now = StepDelta::cumulative(
+            &self.system.metrics(),
+            deliveries,
+            &self.system.served_epochs(),
+        );
         let delta = StepDelta::since(&now, &self.last);
         self.last = now;
         delta

@@ -457,8 +457,19 @@ fn quarantine_overrides_everything_and_releases() {
     r.sim.run();
     assert_eq!(r.dfi.metrics().allowed, 1);
 
+    // Each call is one commit: one publication, and the served snapshot
+    // holds both denies or neither.
+    let published = r.dfi.metrics().snapshots_published;
+    let served_denies = |dfi: &Dfi| {
+        dfi.snapshot()
+            .stored_rules()
+            .filter(|rule| rule.pdp == "quarantine")
+            .count()
+    };
     q.quarantine(&mut r.sim, &r.dfi, "h1.corp.local");
     assert!(q.is_quarantined("h1.corp.local"));
+    assert_eq!(r.dfi.metrics().snapshots_published, published + 1);
+    assert_eq!(served_denies(&r.dfi), 2, "both denies served together");
     r.sim.run();
     let denied0 = r.dfi.metrics().denied;
     r.tx[0].send(&mut r.sim, syn(1, 2, 8080));
@@ -470,6 +481,8 @@ fn quarantine_overrides_everything_and_releases() {
     );
 
     q.release(&mut r.sim, &r.dfi, "h1.corp.local");
+    assert_eq!(r.dfi.metrics().snapshots_published, published + 2);
+    assert_eq!(served_denies(&r.dfi), 0, "both denies revoked together");
     r.sim.run();
     let allowed0 = r.dfi.metrics().allowed;
     r.tx[0].send(&mut r.sim, syn(1, 2, 8081));

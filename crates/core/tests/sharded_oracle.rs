@@ -7,7 +7,10 @@
 //! shards, over the same generated leaf-spine fabric with a reactive
 //! learning controller. After every step (run to quiescence) the decision
 //! deltas must be identical: allowed/denied/spoof counts, per-policy
-//! attribution, and per-host deliveries. At the end, every switch's
+//! attribution, per-host deliveries, and the served snapshot epoch. A
+//! second trace mixes policy commits in — multi-rule inserts, some also
+//! re-ranking and revoking single inserts, and whole-group revokes — and
+//! carries the same obligations. At the end, every switch's
 //! Table-0 cookie set must match the oracle's, all shards must agree on
 //! the served epoch, and the trace must have crossed at least 100 live
 //! snapshot swaps. Any flow step whose decisions were all denials must
@@ -21,14 +24,47 @@
 
 mod common;
 
-use common::{build_world, env_u64, fabric, trace, Step, StepDelta, System};
+use common::{build_world, commit_trace, env_u64, fabric, trace, Step, StepDelta, System};
 
 #[test]
 fn sharded_matches_unsharded_oracle_across_swaps_and_moves() {
     let seed = env_u64("SHARDED_ORACLE_SEED", 0xD51_2019);
     let steps = env_u64("SHARDED_ORACLE_STEPS", 360) as usize;
     let topo = fabric(seed);
-    let script = trace(seed, steps, topo.hosts.len());
+    replay_against_oracle(seed, steps, &trace(seed, steps, topo.hosts.len()));
+}
+
+/// The same differential obligation over the trace with policy commits
+/// mixed in: multi-rule insert commits (some also re-ranking and revoking
+/// single inserts) and whole-group revoke commits, each one snapshot swap
+/// with the same epoch in every system.
+#[test]
+fn sharded_matches_unsharded_oracle_on_policy_commits() {
+    let seed = env_u64("SHARDED_ORACLE_SEED", 0xD51_2019);
+    let steps = env_u64("SHARDED_ORACLE_STEPS", 360) as usize;
+    let topo = fabric(seed);
+    let script = commit_trace(seed, steps, topo.hosts.len());
+    let commits = script
+        .iter()
+        .filter(|s| matches!(s, Step::Commit { .. }))
+        .count();
+    let group_revokes = script
+        .iter()
+        .filter(|s| matches!(s, Step::RevokeCommit { .. }))
+        .count();
+    assert!(
+        commits >= 20 && group_revokes >= 10,
+        "trace must mix in commits: {commits} commits, {group_revokes} group revokes; \
+         repro: SHARDED_ORACLE_SEED={seed} SHARDED_ORACLE_STEPS={steps}"
+    );
+    replay_against_oracle(seed, steps, &script);
+}
+
+/// Replays `script` through the oracle and through 1/2/4/8 shards and
+/// asserts the per-step deltas (epochs included), the final cookie sets
+/// and the swap counts agree.
+fn replay_against_oracle(seed: u64, steps: usize, script: &[Step]) {
+    let topo = fabric(seed);
     let repro = |shards: usize, i: usize, step: &Step| {
         format!(
             "repro: SHARDED_ORACLE_SEED={seed} SHARDED_ORACLE_STEPS={steps} \

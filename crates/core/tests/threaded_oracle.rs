@@ -10,10 +10,12 @@
 //! frames through the front-end's drain fixpoint.
 //!
 //! After every step the decision delta must be byte-identical to the
-//! oracle's: allowed/denied/spoof counts, per-policy attribution, and
-//! per-host deliveries. At the end, every switch's Table-0 cookie set must
-//! match, all workers must serve the same snapshot epoch, and the
-//! snapshot-swap count must equal the oracle's publication count. That is
+//! oracle's: allowed/denied/spoof counts, per-policy attribution,
+//! per-host deliveries, and the served snapshot epoch — on the plain
+//! trace and on the one with policy commits mixed in. At the end, every
+//! switch's Table-0 cookie set must match, all workers must serve the
+//! same snapshot epoch, and the snapshot-swap count must equal the
+//! oracle's publication count. That is
 //! the concurrency proof obligation of the threading refactor: channel
 //! nondeterminism and worker-clock drift are confined to intra-epoch
 //! ordering, which this trace proves decision-irrelevant.
@@ -23,12 +25,11 @@
 mod common;
 
 use common::{
-    boot_events, build_world, env_u64, fabric, fresh_ip, insert_rule, move_events, syn_frame,
-    test_config, trace, Step, StepDelta, LAT,
+    boot_events, build_world, commit_trace, env_u64, fabric, fresh_ip, insert_rule, move_events,
+    syn_frame, test_config, trace, LivePolicies, Step, StepDelta, LAT,
 };
 use dfi_controller::Controller;
 use dfi_core::events::DfiEvent;
-use dfi_core::policy::PolicyId;
 use dfi_core::{
     binding_op_of_event, CookieSets, FleetReport, ObserveFn, ParallelShardedDfi, WorkerWorld,
     WorldBuilder,
@@ -133,7 +134,7 @@ struct ThreadedWorld {
     host_ip: Vec<Ipv4Addr>,
     logged_on: Vec<bool>,
     next_fresh: u32,
-    inserted: Vec<PolicyId>,
+    live: LivePolicies,
     last: StepDelta,
     cookies: CookieSets,
 }
@@ -179,7 +180,7 @@ fn build_threaded(seed: u64, threads: usize) -> ThreadedWorld {
         host_ip,
         logged_on: vec![true; n_hosts],
         next_fresh: 0,
-        inserted: Vec::new(),
+        live: LivePolicies::default(),
         last: StepDelta::default(),
         cookies: CookieSets::default(),
     }
@@ -203,21 +204,23 @@ impl ThreadedWorld {
                 let (w, tap) = self.tap_of[*src];
                 self.fleet.punt(w, tap, frame);
             }
-            Step::Insert {
-                allow,
-                src_pat,
-                dst_pat,
-                priority,
-            } => {
-                let rule = insert_rule(topo, &self.host_ip, *allow, src_pat, dst_pat);
-                let id = self.fleet.insert_policy(rule, *priority, "oracle-trace");
-                self.inserted.push(id);
+            Step::Insert(spec) => {
+                let rule = insert_rule(topo, &self.host_ip, spec);
+                let id = self
+                    .fleet
+                    .insert_policy(rule, spec.priority, "oracle-trace");
+                self.live.inserted.push(id);
             }
             Step::Revoke { k } => {
-                if !self.inserted.is_empty() {
-                    let id = self.inserted.remove(k % self.inserted.len());
+                if !self.live.inserted.is_empty() {
+                    let id = self.live.inserted.remove(k % self.live.inserted.len());
                     self.fleet.revoke_policy(id);
                 }
+            }
+            Step::Commit { .. } | Step::RevokeCommit { .. } => {
+                let muts = self.live.mutations(topo, &self.host_ip, step);
+                let outcome = self.fleet.commit_policy(muts);
+                self.live.record(outcome.inserted);
             }
             Step::Move { host } => {
                 let h = &topo.hosts[*host];
@@ -251,7 +254,7 @@ impl ThreadedWorld {
         let deliveries = (0..self.n_hosts)
             .map(|i| report.deliveries.get(&(i as u32)).copied().unwrap_or(0))
             .collect();
-        let now = StepDelta::cumulative(&report.metrics, deliveries);
+        let now = StepDelta::cumulative(&report.metrics, deliveries, &report.served_epochs);
         let delta = StepDelta::since(&now, &self.last);
         self.last = now;
         self.cookies.clone_from(&report.cookies);
@@ -264,7 +267,25 @@ fn worker_threads_match_unsharded_oracle_across_swaps_and_moves() {
     let seed = env_u64("SHARDED_ORACLE_SEED", 0xD51_2019);
     let steps = env_u64("SHARDED_ORACLE_STEPS", 360) as usize;
     let topo = fabric(seed);
-    let script = trace(seed, steps, topo.hosts.len());
+    replay_against_oracle(seed, steps, &trace(seed, steps, topo.hosts.len()));
+}
+
+/// The trace with policy commits mixed in (`sharded_oracle.rs` replays the
+/// same one): each commit is one flush fan-out and one epoch barrier, and
+/// every worker serves the oracle's epoch after it.
+#[test]
+fn worker_threads_match_unsharded_oracle_on_policy_commits() {
+    let seed = env_u64("SHARDED_ORACLE_SEED", 0xD51_2019);
+    let steps = env_u64("SHARDED_ORACLE_STEPS", 360) as usize;
+    let topo = fabric(seed);
+    replay_against_oracle(seed, steps, &commit_trace(seed, steps, topo.hosts.len()));
+}
+
+/// Replays `script` through the oracle and through 1/2/4/8 worker threads
+/// and asserts the per-step deltas (epochs included), the final cookie
+/// sets, epoch agreement and the swap counts agree.
+fn replay_against_oracle(seed: u64, steps: usize, script: &[Step]) {
+    let topo = fabric(seed);
     let repro = |threads: usize, i: usize, step: &Step| {
         format!(
             "repro: SHARDED_ORACLE_SEED={seed} SHARDED_ORACLE_STEPS={steps} \

@@ -3,13 +3,15 @@
 # Everything runs offline against the vendored dev-dependency stubs.
 #
 # Usage:
-#   scripts/check.sh          full gate: fmt, clippy, workspace tests with a
-#                             per-crate breakdown, deep codec fuzz
+#   scripts/check.sh          full gate: fmt, clippy, workspace tests, the
+#                             perfbench package build, a per-crate test
+#                             breakdown, deep codec fuzz
 #                             (FUZZ_ITERS, default 50000), the analyze, wire,
 #                             decide, scale/par, reach, and repair tiers,
 #                             bench compile
 #   scripts/check.sh --fast   pre-commit tier: fmt, clippy, workspace tests
-#                             with the fuzz suites dialed down to 500 cases
+#                             with the fuzz suites dialed down to 500 cases,
+#                             the perfbench package build
 #   scripts/check.sh --analyze
 #                             static-analysis tier only: clippy -D warnings
 #                             plus the dfi-analyze seeded-corpus ground-truth
@@ -231,6 +233,12 @@ if [[ "$FAST" == 1 ]]; then
 else
   cargo test -q --workspace
 fi
+
+# The benchmark package sits outside the workspace (its own `[workspace]`
+# and lockfile), so nothing above compiles it; a core API change could
+# otherwise break it silently.
+echo "== benchmark package build (perfbench) =="
+cargo build --release --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "== per-crate test counts =="
 for manifest in crates/*/Cargo.toml; do
