@@ -1,11 +1,11 @@
 //! Snapshot certification: the publish gate between the Policy Manager
 //! and the hot-path [`dfi_core::policy::PolicySnapshot`].
 //!
-//! The DFI control plane re-lowers its rule set into an immutable snapshot
+//! The DFI control front re-lowers its rule set into an immutable snapshot
 //! once per policy commit and — when a gate is installed via
-//! [`dfi_core::Dfi::set_snapshot_gate`] — asks the gate to certify the
-//! candidate before swapping it in. This module provides that gate,
-//! built on the incremental [`DeltaAnalyzer`]:
+//! [`dfi_core::ControlFront::set_snapshot_gate`] — asks the gate to
+//! certify the candidate before swapping it in. This module provides that
+//! gate, built on the incremental [`DeltaAnalyzer`]:
 //!
 //! * [`Certifier`] wraps a `DeltaAnalyzer` and, per certification, drains
 //!   the manager's change journal ([`DeltaAnalyzer::sync`]) and converts
@@ -13,11 +13,12 @@
 //!   [`SnapshotWitness`]es — the refusal evidence. Findings that merely
 //!   update, clear, or belong to other kinds (redundancy, unreachable
 //!   patterns) never block publication.
-//! * [`wire_snapshot_gate`] installs the hook on a live [`Dfi`] and — the
-//!   same journal drain — streams *every* finding event onto the DFI bus
+//! * [`wire_snapshot_gate`] installs the hook on a live proxy front, in
+//!   any mode, and — the same journal drain — hands *every* finding event
+//!   back for the front to announce on its bus
 //!   ([`dfi_core::events::topic::ANALYZER_FINDINGS`]), so the online
-//!   verifier no longer needs an external driver: policy mutation itself
-//!   triggers incremental re-analysis.
+//!   verifier needs nothing beyond the commit path: policy mutation
+//!   itself triggers incremental re-analysis.
 //!
 //! Refusal semantics: the Policy Manager keeps the mutation (the PDP owns
 //! intent; refusing the *store* would silently drop an order), but the
@@ -27,12 +28,13 @@
 //! `DESIGN.md` §10 for the full build → certify → swap → retire
 //! lifecycle.
 
+use crate::bus::bus_event;
 use crate::delta::{DeltaAnalyzer, FindingEvent};
 use crate::diag::DiagnosticKind;
 use crate::policy_passes::IdentifierUniverse;
 use dfi_core::events::SnapshotWitness;
 use dfi_core::policy::PolicyManager;
-use dfi_core::Dfi;
+use dfi_core::{FrontHandle, GateVerdict};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -98,38 +100,48 @@ impl Certifier {
     }
 }
 
-/// Wires a [`Certifier`] into a live DFI as its snapshot gate and returns
-/// a shared handle to it.
+/// Wires a [`Certifier`] into a live proxy front as its snapshot gate and
+/// returns a shared handle to it. `front` is any mode's handle: `&Dfi`
+/// (one shard or N cooperative shards) or `&mut ParallelShardedDfi`.
 ///
 /// From this call on, every policy commit (`commit_policy`, and the
-/// one-mutation `insert_policy`/`revoke_policy`):
+/// one-mutation `insert_policy`/`revoke_policy`/`re_rank_policy`):
 ///
 /// 1. triggers an incremental re-analysis of exactly the mutated rules
-///    (journal-driven, no external driver),
-/// 2. publishes every raised/updated/cleared finding on
-///    [`dfi_core::events::topic::ANALYZER_FINDINGS`] — PDP reactions such
-///    as `QuarantinePdp::wire_analyzer_findings` fire as before, and
+///    (journal-driven, nothing else to schedule),
+/// 2. announces every raised/updated/cleared finding on
+///    [`dfi_core::events::topic::ANALYZER_FINDINGS`] (in modes with a bus)
+///    — PDP reactions such as `QuarantinePdp::wire_analyzer_findings` fire
+///    as before, and
 /// 3. refuses snapshot publication (with witnesses on
 ///    [`dfi_core::events::topic::SNAPSHOTS`]) when the mutation raised a
 ///    new Allow/Deny conflict or shadowed rule.
 ///
-/// The seed pass over pre-existing rules is *not* published on the bus
-/// here (the caller can, via [`Certifier::diagnostics`]); only mutations
+/// The seed pass over pre-existing rules is *not* announced here (the
+/// caller can read it via [`Certifier::diagnostics`]); only mutations
 /// after wiring stream events.
 #[must_use]
 pub fn wire_snapshot_gate(
-    dfi: &Dfi,
+    front: impl FrontHandle,
     universe: Option<IdentifierUniverse>,
 ) -> Rc<RefCell<Certifier>> {
-    let (certifier, _seed) = dfi.with_pm(|pm| Certifier::new(pm, universe));
-    let certifier = Rc::new(RefCell::new(certifier));
-    let hook_certifier = Rc::clone(&certifier);
-    dfi.set_snapshot_gate(Box::new(move |sim, dfi| {
-        let (events, witnesses) = dfi.with_pm(|pm| hook_certifier.borrow_mut().certify(pm));
-        crate::bus::publish_finding_events(sim, dfi.bus(), &events);
-        witnesses
-    }));
-    certifier
+    front.with_front(|front| {
+        let (certifier, _seed) = front.with_pm(|pm| Certifier::new(pm, universe));
+        let certifier = Rc::new(RefCell::new(certifier));
+        let hook_certifier = Rc::clone(&certifier);
+        front.set_snapshot_gate(Box::new(move |pm| {
+            let (events, witnesses) = hook_certifier.borrow_mut().certify(pm);
+            let findings = events
+                .iter()
+                .map(|ev| bus_event(ev.id(), ev.is_active(), ev.diag()))
+                .collect();
+            GateVerdict {
+                witnesses,
+                findings,
+            }
+        }));
+        certifier
+    })
 }
 
 #[cfg(test)]

@@ -1,6 +1,13 @@
-//! The assembled DFI control plane: proxy interposition, the Policy
-//! Compilation Point pipeline, and the policy/binding APIs used by Policy
-//! Decision Points and sensors.
+//! The DFI data shard: proxy interposition and the Policy Compilation
+//! Point pipeline for the switches one shard owns.
+//!
+//! A [`DataShard`] holds the proxy, the PCP stations, an Entity
+//! Resolution Manager replica, the decision cache, the snapshot it
+//! decides against, its switch connections and its tracked installs. It
+//! holds no policy state of its own — no Policy Manager, no gate, no bus,
+//! no retention ring: policy arrives from its
+//! [`ControlFront`](crate::ControlFront) as compiled snapshots and cookie
+//! flushes, bindings as [`BindingBatch`]es.
 //!
 //! Message flow for a new flow's first packet (paper Figure 2):
 //!
@@ -45,33 +52,29 @@
 //!
 //! # Snapshot data plane
 //!
-//! Since the snapshot refactor, the flow-setup hot path never touches the
-//! mutable [`PolicyManager`]: every decision reads an immutable
-//! [`PolicySnapshot`] compiled and published by the control plane once per
-//! policy commit ([`Dfi::commit_policy`]; see `crate::policy::snapshot`).
-//! Publication can be gated by a certification hook
-//! ([`Dfi::set_snapshot_gate`]): when the hook reports new Allow/Deny
-//! conflicts or shadowed rules, the candidate snapshot is *refused* — the
-//! Policy Manager keeps every mutation of the commit (the PDP owns
-//! intent), but the previously certified snapshot keeps serving until a
-//! later commit certifies clean. A recovery publication bulk-expires
-//! decision-cache entries by epoch and re-issues the deferred cookie
-//! flushes, so no stale verdict survives the swap. Bursts of packet-ins
+//! The flow-setup hot path never touches the mutable Policy Manager: every
+//! decision reads the immutable [`PolicySnapshot`] the front compiled once
+//! per certified commit and published to every shard (see
+//! `crate::policy::snapshot`). A *recovery* publication — the first after
+//! the certification gate refused — bulk-expires decision-cache entries
+//! by epoch, so no stale verdict survives the swap. Bursts of packet-ins
 //! arriving in one read are classified against a single frozen snapshot in
 //! one pass ([`PolicySnapshot::classify_batch`]) before fanning into the
 //! batched FlowMod‖Barrier installs.
+//!
+//! An allowed Packet-In reaches the controller under the transaction id
+//! the switch gave it: the controller sees the switch's own numbering, not
+//! a sign that a proxy sits in between.
 
 use crate::erm::{Binding, EntityResolver, ErmIndexSizes, SpoofVerdict};
-use crate::events::{topic, DfiEvent, RepairStepData, SnapshotWitness};
+use crate::events::{DfiEvent, RepairStepData};
 use crate::policy::{
-    CommitOutcome, Decision, FlowView, PolicyAction, PolicyId, PolicyIndexStats, PolicyManager,
-    PolicyMutation, PolicyRule, PolicySnapshot, SnapshotStore, DEFAULT_DENY_ID,
+    Decision, FlowView, PolicyAction, PolicyId, PolicyIndexStats, PolicySnapshot, DEFAULT_DENY_ID,
 };
 use crate::rewrite::{
     rewrite_controller_frame_in_place, rewrite_switch_frame_in_place, rewrite_switch_to_controller,
     ControllerFrame, SwitchFrame,
 };
-use dfi_bus::Bus;
 use dfi_dataplane::{ByteSink, Switch};
 use dfi_openflow::{ErrorMsg, FlowMod, Instruction, Match, Message, OfMessage, PacketIn};
 use dfi_packet::{MacAddr, PacketHeaders};
@@ -437,11 +440,11 @@ pub struct DfiMetrics {
     pub pool_reused: u64,
     /// Wire buffers freshly allocated because a pool's free list was empty.
     pub pool_minted: u64,
-    /// Policy snapshots compiled and published (including recovery
-    /// publications after a deferred state).
+    /// Policy snapshots this shard installed (one per publication,
+    /// recovery publications included; a merged report sums the shards).
     pub snapshots_published: u64,
     /// Snapshot publications refused by the certification gate; the
-    /// previously published snapshot kept serving.
+    /// previously published snapshot kept serving. Filled in by the front.
     pub snapshot_refusals: u64,
     /// Epoch of the currently served snapshot at metrics time.
     pub snapshot_epoch: u64,
@@ -455,15 +458,15 @@ pub struct DfiMetrics {
     /// ERM secondary-index sizes at snapshot time.
     pub erm_index: ErmIndexSizes,
     /// Policy bucket-index shape and candidate-scan accounting at snapshot
-    /// time.
+    /// time. Filled in by the front, which owns the Policy Manager.
     pub policy_index: PolicyIndexStats,
 }
 
 impl DfiMetrics {
-    /// Folds another DFI's metrics into this one — the fleet aggregate the
-    /// sharded front-end reports. Counters and latency summaries sum /
+    /// Folds another shard's metrics into this one — the fleet aggregate a
+    /// sharded front reports. Counters and latency summaries sum /
     /// merge; per-policy attribution adds per id; the snapshot epoch/rule
-    /// fields take the maximum (shards of one front-end serve the same
+    /// fields take the maximum (shards of one front serve the same
     /// snapshot, so max == the common value, and a lagging reading is
     /// visible as disagreement elsewhere, not silently averaged away).
     /// Index sizes sum: replicas deliberately overlap on broadcast
@@ -594,7 +597,7 @@ struct PendingInstall {
     is_delete: bool,
 }
 
-/// One ERM mutation, as fanned out by the sharded front-end or replayed by
+/// One ERM mutation, as routed by the control front or replayed by
 /// a churn driver. The op carries the full binding so any replica can apply
 /// it without consulting the originator.
 #[derive(Clone, Debug)]
@@ -607,11 +610,11 @@ pub enum BindingOp {
 
 /// An epoch-stamped batch of ERM mutations.
 ///
-/// The sharded front-end stamps each fanned-out batch with a strictly
-/// increasing epoch; replicas apply a batch at most once and ignore stale
-/// epochs, so re-delivery (bus retries, overlapping fanouts) is idempotent.
-/// Epoch 0 is the unstamped wildcard: always applied, used by drivers that
-/// feed a single DFI directly.
+/// The control front stamps each routed batch with a strictly increasing
+/// epoch; shards apply a batch at most once and ignore stale epochs, so
+/// re-delivery (bus retries, overlapping fanouts) is idempotent. Epoch 0
+/// is the unstamped wildcard: always applied, used by harnesses that bulk-load
+/// bindings directly.
 #[derive(Clone, Debug)]
 pub struct BindingBatch {
     /// Fanout sequence number (0 = unstamped, always applied).
@@ -620,38 +623,18 @@ pub struct BindingBatch {
     pub ops: Vec<BindingOp>,
 }
 
-/// A certification hook consulted before every snapshot publication.
-/// Returns the witnesses of *new* conflicts/shadowing introduced by the
-/// pending mutations (empty ⇒ certify, publish). The hook is taken out of
-/// the DFI while it runs, so it may freely re-enter `Dfi` methods
-/// (`with_pm`, `bus`, …); it is installed by the analyzer-side wiring
-/// (`dfi_analyze::certify`), keeping `dfi-core` below the analyzer in the
-/// crate graph.
-pub type SnapshotGate = Box<dyn FnMut(&mut Sim, &Dfi) -> Vec<SnapshotWitness>>;
-
 struct Inner {
     config: DfiConfig,
     erm: EntityResolver,
-    pm: PolicyManager,
     cache: DecisionCache,
-    /// The published-snapshot cell the hot path reads. Control plane
-    /// republishes once per certified commit.
-    store: SnapshotStore,
-    /// Monotonic publication counter; the next publish uses `+ 1`.
-    next_epoch: u64,
-    /// `true` while the served snapshot lags the Policy Manager because
-    /// the certification gate refused publication.
-    publish_deferred: bool,
-    /// Cookie flushes to re-issue at the recovery publication: flows
-    /// decided under the stale snapshot may have re-installed rules the
-    /// deferred mutations outrank.
-    deferred_flushes: Vec<PolicyId>,
+    /// The snapshot the hot path decides against; the front replaces it
+    /// once per certified commit.
+    snapshot: Arc<PolicySnapshot>,
     /// A default-deny decision was issued from the snapshot path and may
-    /// be cached on switches under cookie 0; forwarded to
-    /// `PolicyManager::note_default_deny_cached` at the next insert (the
-    /// hot path itself never touches the Policy Manager).
+    /// be cached on switches under cookie 0; the front takes this note at
+    /// its next inserting commit (the hot path itself never touches the
+    /// Policy Manager).
     default_deny_cached: bool,
-    snapshot_gate: Option<SnapshotGate>,
     /// Highest stamped [`BindingBatch`] epoch applied so far; stale or
     /// re-delivered batches are ignored.
     binding_epoch: u64,
@@ -695,12 +678,31 @@ impl Inner {
             }
         }
     }
+
+    /// Cancels unacknowledged *add* retries for `cookie` (on connection
+    /// `only`, or on all): the cookie is being flushed, so resending its
+    /// Allow rules after the delete would reinstall a revoked permission.
+    /// Their wire buffers go back to the owning connection's pool.
+    fn cancel_pending_adds(&mut self, cookie: u64, only: Option<usize>) {
+        let cancelled: Vec<(usize, u32)> = self
+            .pending_installs
+            .iter()
+            .filter(|(&(c, _), p)| {
+                only.is_none_or(|o| o == c) && !p.is_delete && p.cookie == cookie
+            })
+            .map(|(k, _)| *k)
+            .collect();
+        for key in cancelled {
+            if let Some(pending) = self.pending_installs.remove(&key) {
+                self.conns[key.0].pool.release(pending.bytes);
+            }
+        }
+    }
 }
 
 /// The ERM mutation a sensor event implies, if any: leases carry IP↔MAC,
-/// name records host↔IP, sessions user↔host. Shared by the per-DFI bus
-/// handlers and the sharded front-end's fanout so both paths apply
-/// bit-identical mutations.
+/// name records host↔IP, sessions user↔host. Every mode's sensor path
+/// turns events into binding batches through this one mapping.
 #[must_use]
 pub fn binding_op_of_event(ev: &DfiEvent) -> Option<BindingOp> {
     match ev {
@@ -748,21 +750,19 @@ pub fn binding_op_of_event(ev: &DfiEvent) -> Option<BindingOp> {
     }
 }
 
-/// The assembled, shared-handle DFI control plane.
+/// One data shard of the DFI proxy (shared handle; see the module docs).
 #[derive(Clone)]
-pub struct Dfi {
+pub struct DataShard {
     inner: Rc<RefCell<Inner>>,
-    bus: Bus<DfiEvent>,
     pcp_station: Station,
     binding_station: Station,
     policy_station: Station,
 }
 
-impl Dfi {
-    /// Builds a DFI control plane and subscribes its Entity Resolution
-    /// Manager to the sensor topics on the returned bus.
+impl DataShard {
+    /// Builds a data shard serving the empty snapshot (default deny).
     #[must_use]
-    pub fn new(config: DfiConfig) -> Dfi {
+    pub fn new(config: DfiConfig) -> DataShard {
         let pcp_station = Station::new(StationConfig {
             name: "pcp".into(),
             workers: config.pcp_workers,
@@ -787,73 +787,30 @@ impl Dfi {
         };
         let binding_station = db_station("erm-db", config.binding_query.clone());
         let policy_station = db_station("policy-db", config.policy_query.clone());
-        let bus = Bus::new(config.bus_latency.clone());
         let cache = DecisionCache::with_capacity(config.decision_cache_capacity);
-        let dfi = Dfi {
+        DataShard {
             inner: Rc::new(RefCell::new(Inner {
                 config,
                 erm: EntityResolver::new(),
-                pm: PolicyManager::new(),
                 cache,
-                store: SnapshotStore::default(),
-                next_epoch: 0,
-                publish_deferred: false,
-                deferred_flushes: Vec::new(),
+                snapshot: Arc::new(PolicySnapshot::empty()),
                 default_deny_cached: false,
-                snapshot_gate: None,
                 binding_epoch: 0,
                 conns: Vec::new(),
                 pending_installs: HashMap::new(),
                 next_xid: 0xDF1_0000,
                 metrics: DfiMetrics::default(),
             })),
-            bus,
             pcp_station,
             binding_station,
             policy_station,
-        };
-        dfi.subscribe_erm_to_bus();
-        dfi
+        }
     }
 
-    /// A control plane with the paper's calibration.
-    #[must_use]
-    pub fn with_defaults() -> Dfi {
-        Dfi::new(DfiConfig::default())
-    }
-
-    /// The sensor/event bus (RabbitMQ surrogate).
-    #[must_use]
-    pub fn bus(&self) -> &Bus<DfiEvent> {
-        &self.bus
-    }
-
-    fn subscribe_erm_to_bus(&self) {
-        let me = self.clone();
-        self.bus.subscribe(topic::LEASES, move |_sim, ev| {
-            if let Some(op) = binding_op_of_event(ev) {
-                me.inner.borrow_mut().apply_binding_op(&op);
-            }
-        });
-        let me = self.clone();
-        self.bus.subscribe(topic::NAMES, move |_sim, ev| {
-            if let Some(op) = binding_op_of_event(ev) {
-                me.inner.borrow_mut().apply_binding_op(&op);
-            }
-        });
-        let me = self.clone();
-        self.bus.subscribe(topic::SESSIONS, move |_sim, ev| {
-            if let Some(op) = binding_op_of_event(ev) {
-                me.inner.borrow_mut().apply_binding_op(&op);
-            }
-        });
-    }
-
-    /// Applies an epoch-stamped batch of ERM mutations (the sharded
-    /// front-end's cross-shard invalidation fanout, also the bulk-load path
-    /// for fleet-scale drivers). Returns `false` if the batch was stale —
-    /// its epoch not newer than one already applied — and was ignored.
-    /// Unstamped batches (epoch 0) always apply.
+    /// Applies an epoch-stamped batch of ERM mutations, with the cache
+    /// invalidation each binding change implies. Returns `false` if the
+    /// batch was stale — its epoch not newer than one already applied —
+    /// and was ignored. Unstamped batches (epoch 0) always apply.
     #[must_use]
     pub fn apply_binding_batch(&self, batch: &BindingBatch) -> bool {
         let mut inner = self.inner.borrow_mut();
@@ -930,9 +887,10 @@ impl Dfi {
         Rc::new(move |sim, bytes| me.handle_controller_bytes(sim, conn, bytes))
     }
 
-    /// Convenience: interpose DFI between a switch and a controller,
-    /// performing all wiring. This is the deployment step — the switch and
-    /// the controller each believe they are talking directly to the other.
+    /// Convenience: interpose this shard between a switch and a
+    /// controller, performing all wiring. This is the deployment step — the
+    /// switch and the controller each believe they are talking directly to
+    /// the other.
     ///
     /// `connect_controller` is the controller's connection entry point
     /// (e.g. `|sim, sink| controller.connect(sim, sink)`): it receives the
@@ -973,7 +931,7 @@ impl Dfi {
             }
             offset += len;
         }
-        let mut burst: Vec<PacketIn> = Vec::new();
+        let mut burst: Vec<(u32, PacketIn)> = Vec::new();
         let mut offset = 0;
         while offset < bytes.len() {
             let Some(len) = OfMessage::frame_length(&bytes[offset..]) else {
@@ -986,7 +944,7 @@ impl Dfi {
             if n_packet_ins >= 2 && frame[1] == OFPT_PACKET_IN {
                 if let Ok(msg) = OfMessage::decode(frame) {
                     if let Message::PacketIn(pi) = msg.body {
-                        burst.push(pi);
+                        burst.push((msg.xid, pi));
                     }
                 }
             } else {
@@ -1024,7 +982,8 @@ impl Dfi {
                 };
                 if let Message::PacketIn(pi) = msg.body {
                     let me = self.clone();
-                    sim.schedule_in(proxy_delay, move |sim| me.pcp_admit(sim, conn, pi));
+                    let xid = msg.xid;
+                    sim.schedule_in(proxy_delay, move |sim| me.pcp_admit(sim, conn, xid, pi));
                 }
             }
             // A barrier reply for one of our tracked Table-0 installs is
@@ -1259,7 +1218,7 @@ impl Dfi {
     // The Policy Compilation Point pipeline
     // ------------------------------------------------------------------
 
-    fn pcp_admit(&self, sim: &mut Sim, conn: usize, pi: PacketIn) {
+    fn pcp_admit(&self, sim: &mut Sim, conn: usize, xid: u32, pi: PacketIn) {
         let arrival = sim.now();
         self.inner.borrow_mut().metrics.packet_ins += 1;
         let me = self.clone();
@@ -1277,7 +1236,7 @@ impl Dfi {
                         m.policy
                             .push((t_policy_done - t_binding_done).as_secs_f64());
                     });
-                    me3.pcp_decide(sim, conn, &pi, arrival);
+                    me3.pcp_decide(sim, conn, xid, &pi, arrival);
                 });
                 if outcome == SubmitOutcome::Dropped {
                     me2.record(|m| m.dropped += 1);
@@ -1295,7 +1254,7 @@ impl Dfi {
     /// Admits a packet-in burst as **one** job through the PCP and
     /// database stations (the batch pays each stage's latency once), then
     /// decides every flow in a single batched pass.
-    fn pcp_admit_burst(&self, sim: &mut Sim, conn: usize, pis: Vec<PacketIn>) {
+    fn pcp_admit_burst(&self, sim: &mut Sim, conn: usize, pis: Vec<(u32, PacketIn)>) {
         let arrival = sim.now();
         let n = pis.len() as u64;
         {
@@ -1340,7 +1299,13 @@ impl Dfi {
     /// per-flow batched FlowMod‖Barrier installs. The burst path always
     /// compiles exact-match rules; port-class widening stays on the
     /// single-flow path.
-    fn pcp_decide_burst(&self, sim: &mut Sim, conn: usize, pis: &[PacketIn], arrival: SimTime) {
+    fn pcp_decide_burst(
+        &self,
+        sim: &mut Sim,
+        conn: usize,
+        pis: &[(u32, PacketIn)],
+        arrival: SimTime,
+    ) {
         struct Planned {
             pi_index: usize,
             decision: Decision,
@@ -1350,10 +1315,10 @@ impl Dfi {
         {
             let mut inner = self.inner.borrow_mut();
             let dpid = inner.conns[conn].dpid;
-            let snap = inner.store.load();
+            let snap = Arc::clone(&inner.snapshot);
             let mut flows: Vec<FlowView> = Vec::new();
             let mut pending: Vec<(usize, FlowKey, Match)> = Vec::new();
-            for (i, pi) in pis.iter().enumerate() {
+            for (i, (_, pi)) in pis.iter().enumerate() {
                 let Some(in_port) = pi.in_port() else {
                     continue;
                 };
@@ -1462,9 +1427,10 @@ impl Dfi {
                         )
                     };
                     if let Some(sink) = sink {
+                        let (xid, pi) = &pis[p.pi_index];
                         if let Some(rewritten) = rewrite_switch_to_controller(OfMessage::new(
-                            0xDF2,
-                            Message::PacketIn(pis[p.pi_index].clone()),
+                            *xid,
+                            Message::PacketIn(pi.clone()),
                         )) {
                             let mut bytes = pool.acquire();
                             rewritten.encode_into(&mut bytes);
@@ -1490,7 +1456,7 @@ impl Dfi {
 
     /// The access-control decision: executed once the flow has traversed
     /// the PCP and both database stations (i.e. all modeled latency paid).
-    fn pcp_decide(&self, sim: &mut Sim, conn: usize, pi: &PacketIn, arrival: SimTime) {
+    fn pcp_decide(&self, sim: &mut Sim, conn: usize, xid: u32, pi: &PacketIn, arrival: SimTime) {
         let Some(in_port) = pi.in_port() else { return };
         let Ok(headers) = dfi_packet::PacketHeaders::parse(&pi.data) else {
             return;
@@ -1551,7 +1517,7 @@ impl Dfi {
                         // snapshot — no lock, no `&mut PolicyManager`, no
                         // allocation. Arbitration is bit-identical to
                         // `pm.query`/`pm.query_class` (proptest-proven).
-                        let snap = inner.store.load();
+                        let snap = Arc::clone(&inner.snapshot);
                         let (decision, widened) = if inner.config.wildcard_caching {
                             match snap.classify_class(&flow) {
                                 Some(decision) => (decision, true),
@@ -1618,7 +1584,7 @@ impl Dfi {
                 };
                 if let Some(sink) = sink {
                     if let Some(rewritten) = rewrite_switch_to_controller(OfMessage::new(
-                        0xDF2,
+                        xid,
                         Message::PacketIn(pi.clone()),
                     )) {
                         let mut bytes = pool.acquire();
@@ -1639,170 +1605,36 @@ impl Dfi {
     }
 
     // ------------------------------------------------------------------
-    // Policy API (used by PDPs)
+    // The shard's side of its link to the control front
     // ------------------------------------------------------------------
 
-    /// Applies `mutations` as one policy commit on behalf of a PDP: the
-    /// hot path's default-deny note is forwarded once (when the commit
-    /// inserts), the Policy Manager applies every mutation in order,
-    /// each distinct flushed cookie is invalidated in the decision cache
-    /// and deleted from every switch once, and the resulting rule set is
-    /// certified, compiled and published once. Intermediate states are
-    /// never compiled, certified or served; a refusal defers the whole
-    /// commit. A commit that changes nothing (only unknown ids) publishes
-    /// nothing.
-    pub fn commit_policy(&self, sim: &mut Sim, mutations: Vec<PolicyMutation>) -> CommitOutcome {
-        let outcome = {
-            let mut inner = self.inner.borrow_mut();
-            // Forward the hot path's default-deny note before the inserts
-            // so a conflicting Allow flushes the cookie-0 rules exactly as
-            // when `pm.query` set the flag itself.
-            if inner.default_deny_cached && mutations.iter().any(PolicyMutation::is_insert) {
-                inner.pm.note_default_deny_cached();
-                inner.default_deny_cached = false;
-            }
-            let outcome = inner.pm.commit(mutations);
-            // Invalidate memoized decisions exactly where the switch-side
-            // cookie flush happens, so the cache is never more permissive
-            // (or more restrictive) than the dataplane.
-            for policy in &outcome.flush {
-                inner.cache.invalidate_policy(*policy);
-            }
-            outcome
-        };
-        if outcome.applied > 0 {
-            for policy in &outcome.flush {
-                self.flush_policy_rules(sim, *policy);
-            }
-            self.republish(sim, &outcome.flush);
+    /// Serves `snapshot` from now on. A `recovery` publication (the first
+    /// after the gate refused) also expires every memoized decision older
+    /// than the snapshot: the precise per-policy flushes could not cover
+    /// the decisions made under the stale snapshot.
+    pub(crate) fn install(&self, snapshot: Arc<PolicySnapshot>, recovery: bool) {
+        let mut inner = self.inner.borrow_mut();
+        inner.metrics.snapshots_published += 1;
+        if recovery {
+            inner.cache.expire_before(snapshot.epoch());
         }
-        outcome
+        inner.snapshot = snapshot;
     }
 
-    /// Inserts a policy rule on behalf of a PDP (a one-mutation commit).
-    /// Conflicting lower-priority policies' derived flow rules (and, for
-    /// Allow rules, cached default-deny rules) are flushed from every
-    /// switch.
-    pub fn insert_policy(
-        &self,
-        sim: &mut Sim,
-        rule: PolicyRule,
-        priority: u32,
-        pdp: &str,
-    ) -> PolicyId {
-        let outcome = self.commit_policy(sim, vec![PolicyMutation::insert(rule, priority, pdp)]);
-        outcome.inserted[0]
+    /// Takes (and clears) the hot path's default-deny note.
+    pub(crate) fn take_default_deny_note(&self) -> bool {
+        std::mem::take(&mut self.inner.borrow_mut().default_deny_cached)
     }
 
-    /// Revokes a policy rule and flushes its derived flow rules from every
-    /// switch (a one-mutation commit). Returns `false` for unknown ids.
-    pub fn revoke_policy(&self, sim: &mut Sim, id: PolicyId) -> bool {
-        let outcome = self.commit_policy(sim, vec![PolicyMutation::Revoke(id)]);
-        outcome.applied > 0
-    }
-
-    /// Lowers the committed Policy Manager into a fresh snapshot and
-    /// publishes it — unless the certification gate refuses.
-    ///
-    /// Certify → publish: the gate (when installed) re-analyzes the
-    /// commit's delta; an empty witness list publishes the compiled
-    /// snapshot and announces it on [`topic::SNAPSHOTS`]. A non-empty list
-    /// *defers* publication: the Policy Manager keeps every mutation of
-    /// the commit, the previously certified snapshot keeps serving, and
-    /// `flush_hint` (the cookie flushes the commit triggered) is
-    /// remembered. The next certified-clean publication is a *recovery*:
-    /// it bulk-expires decision-cache entries older than the new epoch and
-    /// re-issues the remembered flushes, because flows decided under the
-    /// stale snapshot may have re-installed rules the deferred mutations
-    /// outrank.
-    fn republish(&self, sim: &mut Sim, flush_hint: &[PolicyId]) {
-        // Take the gate out so the hook can re-enter this Dfi.
-        let gate = self.inner.borrow_mut().snapshot_gate.take();
-        let witnesses = match gate {
-            Some(mut hook) => {
-                let w = hook(sim, self);
-                self.inner.borrow_mut().snapshot_gate = Some(hook);
-                w
-            }
-            None => Vec::new(),
-        };
-        if witnesses.is_empty() {
-            let (event, recovered) = {
-                let mut inner = self.inner.borrow_mut();
-                inner.next_epoch += 1;
-                let epoch = inner.next_epoch;
-                let snap = PolicySnapshot::compile(&inner.pm, epoch);
-                let event = DfiEvent::SnapshotPublished {
-                    epoch,
-                    revision: snap.revision(),
-                    rules: snap.rule_count() as u64,
-                };
-                inner.metrics.snapshots_published += 1;
-                inner.store.publish(snap);
-                let recovered = if inner.publish_deferred {
-                    inner.publish_deferred = false;
-                    inner.cache.expire_before(epoch);
-                    std::mem::take(&mut inner.deferred_flushes)
-                } else {
-                    Vec::new()
-                };
-                (event, recovered)
-            };
-            for id in recovered {
-                self.flush_policy_rules(sim, id);
-            }
-            self.bus.publish(sim, topic::SNAPSHOTS, event);
-        } else {
-            let event = {
-                let mut inner = self.inner.borrow_mut();
-                inner.publish_deferred = true;
-                inner.deferred_flushes.extend_from_slice(flush_hint);
-                inner.metrics.snapshot_refusals += 1;
-                DfiEvent::SnapshotRefused {
-                    revision: inner.pm.revision(),
-                    witnesses,
-                }
-            };
-            self.bus.publish(sim, topic::SNAPSHOTS, event);
-        }
-    }
-
-    /// Installs the snapshot-certification hook consulted before every
-    /// publication (see [`SnapshotGate`]); replaces any previous hook.
-    pub fn set_snapshot_gate(&self, gate: SnapshotGate) {
-        self.inner.borrow_mut().snapshot_gate = Some(gate);
-    }
-
-    /// The currently published policy snapshot — the exact immutable view
-    /// the flow-setup hot path reads.
-    #[must_use]
-    pub fn snapshot(&self) -> Arc<PolicySnapshot> {
-        self.inner.borrow().store.load()
-    }
-
-    /// Sends a delete-by-cookie to every attached switch for the given
-    /// policy — the paper's consistency mechanism ("flow rules are removed
-    /// quickly without paying the latency and performance costs of using
-    /// hard timeouts").
-    pub fn flush_policy_rules(&self, sim: &mut Sim, id: PolicyId) {
+    /// Drops the memoized decisions attributed to `id` and sends a
+    /// delete-by-cookie to every switch this shard owns — one policy's
+    /// share of a flush fan-out.
+    pub(crate) fn flush_policy(&self, sim: &mut Sim, id: PolicyId) {
         let (n_conns, delay) = {
             let mut inner = self.inner.borrow_mut();
             inner.metrics.flushes += 1;
-            // Cancel unacknowledged *add* retries for this cookie: the
-            // policy is gone, so resending its Allow rules after the
-            // delete below would reinstall a revoked permission. Their
-            // wire buffers go back to the owning connection's pool.
-            let cancelled: Vec<(usize, u32)> = inner
-                .pending_installs
-                .iter()
-                .filter(|(_, p)| !p.is_delete && p.cookie == id.0)
-                .map(|(k, _)| *k)
-                .collect();
-            for key in cancelled {
-                if let Some(pending) = inner.pending_installs.remove(&key) {
-                    inner.conns[key.0].pool.release(pending.bytes);
-                }
-            }
+            inner.cache.invalidate_policy(id);
+            inner.cancel_pending_adds(id.0, None);
             let delay = inner.config.bus_latency.sample(sim.rng()) + inner.config.install_latency;
             (inner.conns.len(), delay)
         };
@@ -1810,6 +1642,33 @@ impl Dfi {
             let fm = FlowMod::delete_by_cookie(id.0, u64::MAX);
             self.send_tracked_install(sim, conn, fm, delay);
         }
+    }
+
+    /// Runs one switch-targeted repair step on the switch it names:
+    /// `RePunt` is [`DataShard::flush_cookie_on`], `InstallExact` is
+    /// [`DataShard::install_exact`]. Other steps are the front's.
+    pub(crate) fn switch_step(&self, sim: &mut Sim, step: &RepairStepData) {
+        match step {
+            RepairStepData::RePunt { dpid, cookie } => {
+                self.flush_cookie_on(sim, *dpid, *cookie);
+            }
+            RepairStepData::InstallExact {
+                dpid,
+                mat,
+                priority,
+                cookie,
+                allow,
+            } => {
+                self.install_exact(sim, *dpid, mat.clone(), *priority, *cookie, *allow);
+            }
+            _ => {}
+        }
+    }
+
+    /// The snapshot this shard currently decides against.
+    #[must_use]
+    pub fn snapshot(&self) -> Arc<PolicySnapshot> {
+        Arc::clone(&self.inner.borrow().snapshot)
     }
 
     // ------------------------------------------------------------------
@@ -1831,43 +1690,15 @@ impl Dfi {
             m.pool_minted += minted;
         }
         m.erm_index = inner.erm.index_sizes();
-        m.policy_index = inner.pm.index_stats();
-        let snap = inner.store.load();
-        m.snapshot_epoch = snap.epoch();
-        m.snapshot_rules = snap.rule_count() as u64;
+        m.snapshot_epoch = inner.snapshot.epoch();
+        m.snapshot_rules = inner.snapshot.rule_count() as u64;
         m
     }
 
-    /// Runs a closure against the Entity Resolution Manager (tests,
-    /// harnesses, and direct-wired sensors).
+    /// Runs a closure against this shard's Entity Resolution Manager
+    /// replica (tests, harnesses, and direct-wired sensors).
     pub fn with_erm<R>(&self, f: impl FnOnce(&mut EntityResolver) -> R) -> R {
         f(&mut self.inner.borrow_mut().erm)
-    }
-
-    /// Runs a closure against the Policy Manager.
-    ///
-    /// This is the raw control-plane backdoor (tests, harnesses, the
-    /// analyzer): it bypasses certification, flushes, and events. If the
-    /// closure mutated the store, the published snapshot is re-lowered
-    /// immediately so hot-path decisions stay equivalent to `pm.query` —
-    /// exactly the coupling the pre-snapshot code had — while switch-side
-    /// state is deliberately left stale (that staleness is what the
-    /// table-0 audit tests construct). A closure that only reads publishes
-    /// nothing: neither the gate reading the candidate it is deciding on
-    /// nor a reader during a refused commit's deferral serves the
-    /// uncertified state.
-    pub fn with_pm<R>(&self, f: impl FnOnce(&mut PolicyManager) -> R) -> R {
-        let mut inner = self.inner.borrow_mut();
-        let revision = inner.pm.revision();
-        let r = f(&mut inner.pm);
-        if inner.pm.revision() != revision {
-            inner.next_epoch += 1;
-            let epoch = inner.next_epoch;
-            let snap = PolicySnapshot::compile(&inner.pm, epoch);
-            inner.store.publish(snap);
-            inner.metrics.snapshots_published += 1;
-        }
-        r
     }
 
     /// Per-station statistics: (pcp, binding-db, policy-db).
@@ -1887,92 +1718,16 @@ impl Dfi {
     }
 
     // ------------------------------------------------------------------
-    // Sharding hooks (the `shard::ShardedDfi` front-end drives these)
+    // Targeted switch operations (repair plans)
     // ------------------------------------------------------------------
 
-    /// Publishes an already-compiled shared snapshot into this DFI's
-    /// store. The sharded front-end compiles once per certified commit
-    /// and fans the same `Arc` to every shard, so the per-shard cost is a
-    /// pointer swap. `recovery` additionally bulk-expires decision-cache
-    /// entries older than the snapshot's epoch — the front-end sets it on
-    /// the first certified publication after a deferred one, mirroring the
-    /// unsharded recovery path.
-    pub(crate) fn install_shared_snapshot(&self, snap: Arc<PolicySnapshot>, recovery: bool) {
-        let mut inner = self.inner.borrow_mut();
-        inner.metrics.snapshots_published += 1;
-        let epoch = snap.epoch();
-        inner.store.publish_shared(snap);
-        if recovery {
-            inner.cache.expire_before(epoch);
-        }
-    }
-
-    /// Drops memoized decisions attributed to `id` (the cache half of a
-    /// fanned-out policy flush; the switch half is
-    /// [`Dfi::flush_policy_rules`]).
-    pub(crate) fn invalidate_cached_policy(&self, id: PolicyId) {
-        self.inner.borrow_mut().cache.invalidate_policy(id);
-    }
-
-    /// Takes (and clears) the hot path's default-deny note. The sharded
-    /// front-end gathers this from every shard before a Policy Manager
-    /// insert, standing in for the direct `Inner` access the unsharded
-    /// `insert_policy` has.
-    pub(crate) fn take_default_deny_note(&self) -> bool {
-        std::mem::take(&mut self.inner.borrow_mut().default_deny_cached)
-    }
-
-    /// Sets how many retired certified snapshots this DFI's store keeps
-    /// (see [`SnapshotStore::set_retention`]).
-    pub fn set_snapshot_retention(&self, keep: usize) {
-        self.inner.borrow().store.set_retention(keep);
-    }
-
-    /// The retained retired snapshots, oldest first (empty unless
-    /// [`Dfi::set_snapshot_retention`] enabled a window).
-    #[must_use]
-    pub fn snapshot_history(&self) -> Vec<Arc<PolicySnapshot>> {
-        self.inner.borrow().store.retained()
-    }
-
-    /// One-command rollback: rewrites the Policy Manager to the retained
-    /// snapshot stamped `epoch`, flushes every derived flow rule the
-    /// restore invalidated, and republishes through the normal certify →
-    /// publish path (a rollback is a one-mutation commit like any other —
-    /// the `DeltaAnalyzer` gate re-certifies it, and the published
-    /// snapshot gets a fresh, strictly newer epoch). Returns `false` when
-    /// no retained snapshot carries that epoch.
-    pub fn rollback_snapshot(&self, sim: &mut Sim, epoch: u64) -> bool {
-        let Some(target) = self
-            .snapshot_history()
-            .into_iter()
-            .find(|s| s.epoch() == epoch)
-        else {
-            return false;
-        };
-        self.commit_policy(sim, vec![PolicyMutation::Restore(target)]);
-        true
-    }
-
-    /// Re-ranks a policy rule in place (same id, same cookie) and flushes
-    /// the derived flow rules of every policy the arbitration inversion
-    /// invalidated, then republishes through the certification gate (a
-    /// one-mutation commit). Returns `false` for unknown ids.
-    pub fn re_rank_policy(&self, sim: &mut Sim, id: PolicyId, new_priority: u32) -> bool {
-        let re_rank = PolicyMutation::ReRank {
-            id,
-            priority: new_priority,
-        };
-        self.commit_policy(sim, vec![re_rank]).applied > 0
-    }
-
     /// Sends a delete-by-cookie to the one switch `dpid` — the targeted
-    /// half of a repair plan (a network-wide flush is
-    /// [`Dfi::flush_policy_rules`]): the switch drops its cached rules for
-    /// the cookie and the flow's next packet punts for a fresh verdict.
+    /// half of a repair plan (a network-wide flush is the front's
+    /// `flush_policy_rules`): the switch drops its cached rules for the
+    /// cookie and the flow's next packet punts for a fresh verdict.
     /// Memoized decisions for the cookie's policy are invalidated so the
-    /// re-punt is actually re-decided. Returns `false` when no attached
-    /// switch has that dpid.
+    /// re-punt is actually re-decided. Returns `false` when no switch this
+    /// shard owns has that dpid.
     pub fn flush_cookie_on(&self, sim: &mut Sim, dpid: u64, cookie: u64) -> bool {
         let (conn, delay) = {
             let mut inner = self.inner.borrow_mut();
@@ -1981,19 +1736,7 @@ impl Dfi {
             };
             inner.metrics.flushes += 1;
             inner.cache.invalidate_policy(PolicyId(cookie));
-            // Cancel unacknowledged add retries for this cookie on this
-            // connection, exactly as the network-wide flush does.
-            let cancelled: Vec<(usize, u32)> = inner
-                .pending_installs
-                .iter()
-                .filter(|(&(c, _), p)| c == conn && !p.is_delete && p.cookie == cookie)
-                .map(|(k, _)| *k)
-                .collect();
-            for key in cancelled {
-                if let Some(pending) = inner.pending_installs.remove(&key) {
-                    inner.conns[key.0].pool.release(pending.bytes);
-                }
-            }
+            inner.cancel_pending_adds(cookie, Some(conn));
             let delay = inner.config.bus_latency.sample(sim.rng()) + inner.config.install_latency;
             (conn, delay)
         };
@@ -2006,8 +1749,8 @@ impl Dfi {
     /// tracked-install path (barrier-acked, retried): the install half of
     /// a repair plan, e.g. re-pinning a flow through a mandated waypoint.
     /// `allow` compiles to the canonical `GotoTable(1)` instruction, deny
-    /// to an empty instruction list. Returns `false` when no attached
-    /// switch has that dpid.
+    /// to an empty instruction list. Returns `false` when no switch this
+    /// shard owns has that dpid.
     pub fn install_exact(
         &self,
         sim: &mut Sim,
@@ -2039,42 +1782,5 @@ impl Dfi {
         };
         self.send_tracked_install(sim, conn, fm, delay);
         true
-    }
-
-    /// Applies a verified repair plan's steps in order, mapping each to
-    /// the corresponding control-plane primitive. Policy-editing steps go
-    /// through the full certify → publish path (a repair is a mutation
-    /// like any other); data-plane steps ride the tracked-install path.
-    pub fn apply_repair_steps(&self, sim: &mut Sim, steps: &[RepairStepData]) {
-        for step in steps {
-            match step {
-                RepairStepData::FlushCookie { cookie, dpids } if dpids.is_empty() => {
-                    self.flush_policy_rules(sim, PolicyId(*cookie));
-                }
-                RepairStepData::FlushCookie { cookie, dpids } => {
-                    for dpid in dpids {
-                        self.flush_cookie_on(sim, *dpid, *cookie);
-                    }
-                }
-                RepairStepData::RePunt { dpid, cookie } => {
-                    self.flush_cookie_on(sim, *dpid, *cookie);
-                }
-                RepairStepData::InstallExact {
-                    dpid,
-                    mat,
-                    priority,
-                    cookie,
-                    allow,
-                } => {
-                    self.install_exact(sim, *dpid, mat.clone(), *priority, *cookie, *allow);
-                }
-                RepairStepData::DeleteRule { rule } => {
-                    self.revoke_policy(sim, PolicyId(*rule));
-                }
-                RepairStepData::ReRankRule { rule, new_priority } => {
-                    self.re_rank_policy(sim, PolicyId(*rule), *new_priority);
-                }
-            }
-        }
     }
 }

@@ -16,13 +16,19 @@
 //!   quarantine.
 //! * [`rewrite`] — the table-id shifting that hides Table 0 from the
 //!   controller.
-//! * [`Dfi`] — the assembled control plane: the proxy that interposes
-//!   between switches and the controller, and the Policy Compilation Point
-//!   that turns packet-ins into exact-match, cookie-tagged Table-0 rules.
+//! * [`DataShard`] — the proxy that interposes between switches and the
+//!   controller, and the Policy Compilation Point that turns packet-ins
+//!   into exact-match, cookie-tagged Table-0 rules, for the switches one
+//!   shard owns.
+//! * [`front`] — the [`ControlFront`]: the one control plane (Policy
+//!   Manager, certify → compile → publish, deferral, rollback, binding
+//!   routing) every mode runs over its shards.
+//! * [`Dfi`] ([`shard`]) — the assembled proxy: one front over N direct
+//!   shards on one simulation. [`Dfi::new`] is the paper's single proxy;
+//!   [`Dfi::sharded`] partitions a fleet's switches by dpid.
+//! * [`par`] — [`ParallelShardedDfi`]: the same front over one shard per
+//!   OS thread, publishing behind an epoch barrier.
 //! * [`events`] — sensor events and message-bus wiring.
-//! * [`shard`] — the per-dpid sharded front-end ([`ShardedDfi`]) scaling
-//!   the proxy to fleet-sized fabrics with atomic snapshot fanout and
-//!   epoch-stamped cross-shard binding batches.
 //!
 //! # Quick start
 //!
@@ -49,6 +55,7 @@
 mod dfi;
 pub mod erm;
 pub mod events;
+pub mod front;
 pub mod par;
 pub mod pdp;
 pub mod policy;
@@ -56,13 +63,16 @@ pub mod rewrite;
 pub mod shard;
 
 pub use dfi::{
-    binding_op_of_event, BindingBatch, BindingOp, BufPool, Dfi, DfiConfig, DfiMetrics, SnapshotGate,
+    binding_op_of_event, BindingBatch, BindingOp, BufPool, DataShard, DfiConfig, DfiMetrics,
+};
+pub use front::{
+    ControlFront, FrontHandle, GateVerdict, ShardFanoutMetrics, ShardLink, SnapshotGate,
 };
 pub use par::{
-    CookieSets, DrainReport, FleetReport, HostDeliveries, ObserveFn, Outbox, ParSnapshotGate,
-    ParallelShardedDfi, RelayFrame, WorkerWorld, WorldBuilder,
+    CookieSets, DrainReport, FleetReport, HostDeliveries, ObserveFn, Outbox, ParallelShardedDfi,
+    RelayFrame, WorkerWorld, Workers, WorldBuilder,
 };
-pub use shard::{ShardFanoutMetrics, ShardSnapshotGate, ShardedDfi};
+pub use shard::{Dfi, DirectShards};
 // Exported for the criterion bench harness; not part of the stable API.
 #[doc(hidden)]
 pub use dfi::{CachedDecision, DecisionCache, FlowKey};

@@ -1,56 +1,53 @@
 //! The thread-parallel sharded DFI proxy: real OS-thread scale-out.
 //!
-//! [`ShardedDfi`](crate::ShardedDfi) proved the *semantics* of per-dpid
-//! sharding — one policy truth, epoch-stamped binding fanout, atomic
-//! snapshot publication — but ran every shard cooperatively on one thread
-//! over `Rc`/`RefCell`, so its wall-clock throughput *regressed* with
-//! shard count (the fanout bookkeeping is pure overhead). This module
+//! [`Dfi::sharded`](crate::Dfi::sharded) proved the *semantics* of
+//! per-dpid sharding — one policy truth, epoch-stamped binding fanout,
+//! atomic snapshot publication — but runs every shard cooperatively on one
+//! thread over `Rc`/`RefCell`, so its wall-clock throughput *regresses*
+//! with shard count (the fanout bookkeeping is pure overhead). This module
 //! keeps those semantics bit-for-bit (proved by
 //! `crates/core/tests/threaded_oracle.rs` against the same 360-step
-//! differential trace) and moves each shard onto its own OS thread.
+//! differential trace) and moves each shard onto its own OS thread,
+//! under the same [`ControlFront`] code as every other mode.
 //!
 //! # Ownership map
 //!
-//! Everything `Rc`-based — the shard's [`Dfi`], its simulated [`Sim`]
-//! clock, its slice of the data plane, its controller replica — is built
-//! *inside* the worker thread by a `Send` [`WorldBuilder`] closure and
-//! never crosses the boundary again. What does cross is plain data:
+//! Everything `Rc`-based — the shard's [`DataShard`], its simulated
+//! [`Sim`] clock, its slice of the data plane, its controller replica — is
+//! built *inside* the worker thread by a `Send` [`WorldBuilder`] closure
+//! and never crosses the boundary again. The fleet's one
+//! [`ControlFront`] stays on the caller's thread and reaches the workers
+//! through [`Workers`], its [`ShardLink`]. What crosses is plain data:
 //!
-//! * **down** (front-end → worker), per-shard bounded command channels:
-//!   flow punts ([`Cmd::Punt`]), epoch-stamped
-//!   [`BindingBatch`]es, cookie-flush orders, epoch installs, clock
-//!   advances, drain orders;
-//! * **up** (worker → front-end), result channels: epoch acks,
-//!   default-deny notes, and [`DrainReport`]s (metrics, deliveries,
-//!   cookie sets, cross-shard relay frames);
-//! * **shared**, one [`SharedSnapshotStore`]: the front-end compiles a
-//!   certified [`PolicySnapshot`] **once** and publishes the `Arc`; each
-//!   worker installs it into its thread-local store on the epoch command.
+//! * **down** (front → worker), per-shard bounded command channels: flow
+//!   punts ([`Cmd::Punt`]), epoch-stamped [`BindingBatch`]es, cookie-flush
+//!   orders, epoch installs carrying the compiled
+//!   `Arc<PolicySnapshot>` itself, repair steps, clock advances, drain
+//!   orders;
+//! * **up** (worker → front), result channels: epoch acks, default-deny
+//!   notes, and [`DrainReport`]s (metrics, deliveries, cookie sets,
+//!   cross-shard relay frames).
 //!
 //! # The epoch barrier (no two epochs at once)
 //!
-//! The cooperative front-end's fanout was atomic by construction (it
-//! completed within one simulation event). Across threads the same
-//! guarantee is an explicit barrier: each commit
-//! ([`ParallelShardedDfi::commit_policy`]; `insert_policy` /
-//! `revoke_policy` are one-mutation commits) publishes once to the shared
-//! store, sends `Cmd::Epoch` down every channel, and **blocks until every
-//! worker acks** before admitting the next command of any kind. Because
-//! channels are FIFO, every command sent before the epoch is processed
-//! under the old snapshot on every shard, and everything after under the
-//! new one — channel nondeterminism is confined to *intra*-epoch ordering,
-//! which the differential oracle proves decision-irrelevant.
+//! The cooperative front's fanout is atomic by construction (it completes
+//! within one simulation event). Across threads the same guarantee is an
+//! explicit barrier: each publication sends `Cmd::Epoch` with the one
+//! compiled `Arc` down every channel and **blocks until every worker
+//! acks** before admitting the next command of any kind. Because channels
+//! are FIFO, every command sent before the epoch is processed under the
+//! old snapshot on every shard, and everything after under the new one —
+//! channel nondeterminism is confined to *intra*-epoch ordering, which the
+//! differential oracle proves decision-irrelevant.
 //!
-//! # Why there are no locks on the decide path
+//! # Why there are no locks
 //!
-//! A worker decides flows against the `Arc<PolicySnapshot>` sitting in its
-//! own thread-local `SnapshotStore` — immutable data, no lock, exactly the
-//! unsharded hot path. The one mutex in the system
-//! ([`SharedSnapshotStore`]) is touched by a worker only while handling
-//! `Cmd::Epoch`, i.e. at most once per published epoch and never while a
-//! flow is in flight (the barrier holds new work back), and by the
-//! front-end only inside the barrier. Binding state is not shared at all:
-//! each worker owns an ERM replica fed by value over its channel.
+//! A worker decides flows against the `Arc<PolicySnapshot>` its
+//! `DataShard` holds — immutable data, no lock, exactly the single-proxy
+//! hot path. The snapshot arrives by value inside `Cmd::Epoch`; the channel
+//! plus the barrier already order its hand-off, so no shared cell (and no
+//! mutex) is needed. Binding state is not shared at all: each worker owns
+//! an ERM replica fed by value over its channel.
 //!
 //! # Cross-shard traffic
 //!
@@ -67,20 +64,17 @@
 //! [`shard_seed`](dfi_simnet::shard_seed)), which is observable only as
 //! intra-epoch timing, not as decisions, deliveries, or table state.
 
-use crate::dfi::{BindingBatch, BindingOp, Dfi, DfiConfig, DfiMetrics};
-use crate::erm::Binding;
-use crate::events::SnapshotWitness;
-use crate::policy::{
-    CommitOutcome, PolicyId, PolicyManager, PolicyMutation, PolicySnapshot, SharedSnapshotStore,
-};
-use crate::shard::{ShardFanoutMetrics, SNAPSHOT_RETENTION};
+use crate::dfi::{BindingBatch, BindingOp, DataShard, DfiConfig, DfiMetrics};
+use crate::events::{DfiEvent, RepairStepData};
+use crate::front::{ControlFront, FrontHandle, ShardFanoutMetrics, ShardLink, SnapshotGate};
+use crate::policy::{CommitOutcome, PolicyId, PolicyManager, PolicyMutation, PolicySnapshot};
+use crate::shard::SNAPSHOT_RETENTION;
 use dfi_dataplane::Tx;
-use dfi_simnet::topo::shard_of;
 use dfi_simnet::{shard_seed, Sim, SimTime};
+use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering as MemOrder};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -89,10 +83,10 @@ use std::thread::JoinHandle;
 /// back-pressure rather than grow without bound).
 const CMD_CHANNEL_DEPTH: usize = 4096;
 /// Reply-channel depth: a worker sends at most one reply per request the
-/// front-end is already waiting on, so this never fills in practice.
+/// front is already waiting on, so this never fills in practice.
 const REPLY_CHANNEL_DEPTH: usize = 16;
 
-/// Everything the front-end can ask of a shard worker. Plain data only —
+/// Everything the front can ask of a shard worker. Plain data only —
 /// statically asserted `Send` below.
 enum Cmd {
     /// Inject `frame` at the world's tap `tap` (a host NIC), at absolute
@@ -108,15 +102,16 @@ enum Cmd {
     Bindings(BindingBatch),
     /// Cache invalidation + switch-side cookie delete for each id.
     Flushes(Vec<PolicyId>),
-    /// Install the epoch just published to the shared store; ack when
-    /// serving it. `reflush` carries deferred flushes on a recovery.
+    /// Serve `snapshot`; ack when serving it. A recovery also expires the
+    /// memoized decisions older than it.
     Epoch {
-        epoch: u64,
+        snapshot: Arc<PolicySnapshot>,
         recovery: bool,
-        reflush: Vec<PolicyId>,
     },
     /// Report (and clear) the hot path's default-deny note.
     TakeNote,
+    /// Run a switch-targeted repair step on the switch it names.
+    Repair(RepairStepData),
     /// Run the worker's clock up to (and including) `0`'s events at `t`.
     AdvanceTo(SimTime),
     /// Run to quiescence and report.
@@ -138,7 +133,7 @@ pub struct DrainReport {
     /// Frames that egressed toward switches owned by other shards, in
     /// egress order.
     pub relays: Vec<RelayFrame>,
-    /// The shard `Dfi`'s full metrics.
+    /// The shard's full metrics.
     pub metrics: DfiMetrics,
     /// Per-host delivered-frame counters, `(global host index, count)`.
     pub deliveries: HostDeliveries,
@@ -155,7 +150,8 @@ pub struct DrainReport {
 /// Fleet-wide aggregate of one [`ParallelShardedDfi::drain`] fixpoint.
 #[derive(Clone, Debug, Default)]
 pub struct FleetReport {
-    /// Every shard's [`DfiMetrics`] merged.
+    /// Every shard's [`DfiMetrics`] merged, plus the front's refusal count
+    /// and Policy Manager index.
     pub metrics: DfiMetrics,
     /// Each shard's own [`DfiMetrics`], shard order (for per-worker
     /// baselines, e.g. timing-window latency sampling).
@@ -214,8 +210,9 @@ impl Outbox {
     }
 }
 
-/// The thread-local world a [`WorldBuilder`] constructs around a shard's
-/// [`Dfi`]: injection taps, boundary ingresses, and an observation hook.
+/// The thread-local world a [`WorldBuilder`] constructs around a worker's
+/// [`DataShard`]: injection taps, boundary ingresses, and an observation
+/// hook.
 pub struct WorkerWorld {
     /// Frame-injection points (host NICs), indexed by the tap ids the
     /// harness uses in [`ParallelShardedDfi::punt`].
@@ -231,11 +228,7 @@ pub struct WorkerWorld {
 /// Builds a worker's world inside its thread. The closure itself must be
 /// `Send` (capture topology by `Arc`, config by value); everything it
 /// creates stays thread-local.
-pub type WorldBuilder = Box<dyn FnOnce(&mut Sim, &Dfi, &Outbox) -> WorkerWorld + Send>;
-
-/// The parallel certification hook, consulted before every publication.
-/// Runs on the front-end thread against the fleet's one [`PolicyManager`].
-pub type ParSnapshotGate = Box<dyn FnMut(&PolicyManager) -> Vec<SnapshotWitness>>;
+pub type WorldBuilder = Box<dyn FnOnce(&mut Sim, &DataShard, &Outbox) -> WorkerWorld + Send>;
 
 const _: fn() = || {
     fn assert_send<T: Send>() {}
@@ -251,38 +244,105 @@ struct Worker {
     join: Option<JoinHandle<()>>,
 }
 
-/// The thread-parallel sharded DFI front-end. Unlike the cooperative
-/// [`ShardedDfi`](crate::ShardedDfi) handle this is `&mut self`-driven:
-/// the front-end lives on the caller's thread and is the single admission
-/// point for punts, bindings, and policy mutations (which is what makes
-/// the epoch barrier a barrier).
-pub struct ParallelShardedDfi {
+/// The worker-channel link: one bounded command channel down and one
+/// reply channel up per worker thread.
+pub struct Workers {
     workers: Vec<Worker>,
-    /// Global boundary id → worker owning the ingress.
-    routes: HashMap<u64, usize>,
-    store: Arc<SharedSnapshotStore>,
-    pm: PolicyManager,
-    next_epoch: u64,
-    next_binding_epoch: u64,
-    publish_deferred: bool,
-    deferred_flushes: Vec<PolicyId>,
-    gate: Option<ParSnapshotGate>,
-    /// Front-end retention ring: the last [`SNAPSHOT_RETENTION`] retired
-    /// certified snapshots, oldest first. Worker stores keep their own
-    /// rings, but those live on the worker threads — rollback needs a
-    /// copy the front-end can reach without crossing a channel.
-    history: VecDeque<Arc<PolicySnapshot>>,
-    metrics: ShardFanoutMetrics,
     /// Last acked/reported epoch per worker.
     served: Vec<u64>,
-    poisoned: Arc<AtomicBool>,
+}
+
+impl Workers {
+    fn send(&self, shard: usize, cmd: Cmd) {
+        self.workers[shard]
+            .cmd
+            .send(cmd)
+            .expect("shard worker hung up");
+    }
+
+    fn recv(&self, shard: usize) -> Reply {
+        self.workers[shard]
+            .reply
+            .recv()
+            .expect("shard worker hung up")
+    }
+}
+
+impl ShardLink for Workers {
+    type Cx = ();
+
+    fn shard_count(&self) -> usize {
+        self.workers.len()
+    }
+
+    fn take_default_deny_notes(&mut self) -> bool {
+        for w in 0..self.workers.len() {
+            self.send(w, Cmd::TakeNote);
+        }
+        let mut noted = false;
+        for w in 0..self.workers.len() {
+            match self.recv(w) {
+                Reply::Note(b) => noted |= b,
+                other => panic!("expected a note reply, got {}", kind(&other)),
+            }
+        }
+        noted
+    }
+
+    fn flush(&mut self, (): &mut (), ids: &[PolicyId]) {
+        for w in 0..self.workers.len() {
+            self.send(w, Cmd::Flushes(ids.to_vec()));
+        }
+    }
+
+    /// The epoch barrier: the snapshot goes down every channel, and no
+    /// later command of any kind is admitted until every worker acks.
+    fn install(&mut self, snapshot: &Arc<PolicySnapshot>, recovery: bool) {
+        for w in 0..self.workers.len() {
+            let snapshot = Arc::clone(snapshot);
+            self.send(w, Cmd::Epoch { snapshot, recovery });
+        }
+        for w in 0..self.workers.len() {
+            match self.recv(w) {
+                Reply::EpochAck(e) => {
+                    assert_eq!(e, snapshot.epoch(), "worker {w} acked the wrong epoch");
+                    self.served[w] = e;
+                }
+                other => panic!("expected an epoch ack, got {}", kind(&other)),
+            }
+        }
+    }
+
+    fn bindings(&mut self, shard: usize, batch: Cow<'_, BindingBatch>) {
+        self.send(shard, Cmd::Bindings(batch.into_owned()));
+    }
+
+    fn switch_step(&mut self, (): &mut (), shard: usize, step: &RepairStepData) {
+        self.send(shard, Cmd::Repair(step.clone()));
+    }
+
+    /// The threaded mode has no bus: announcements go nowhere.
+    fn announce(&mut self, (): &mut (), _topic: &'static str, _event: DfiEvent) {}
+}
+
+/// The thread-parallel sharded DFI front-end. Unlike the cooperative
+/// [`Dfi`](crate::Dfi) handle this is `&mut self`-driven: the front lives
+/// on the caller's thread and is the single admission point for punts,
+/// bindings, and policy mutations (which is what makes the epoch barrier a
+/// barrier).
+pub struct ParallelShardedDfi {
+    front: ControlFront<Workers>,
+    /// Global boundary id → worker owning the ingress.
+    routes: HashMap<u64, usize>,
 }
 
 impl ParallelShardedDfi {
     /// Spawns one worker thread per builder. Worker `w` gets its own
     /// deterministic clock seeded [`shard_seed`]`(seed, w)`; `routes` maps
     /// every global boundary id a builder registers to the worker index
-    /// that owns it. Blocks until every world is built and quiescent.
+    /// that owns it. Blocks until every world is built and quiescent. The
+    /// front keeps the last [`SNAPSHOT_RETENTION`] retired snapshots for
+    /// rollback.
     ///
     /// # Panics
     ///
@@ -296,8 +356,6 @@ impl ParallelShardedDfi {
     ) -> ParallelShardedDfi {
         assert!(!builders.is_empty(), "need at least one shard worker");
         let n = builders.len();
-        let store = Arc::new(SharedSnapshotStore::default());
-        let poisoned = Arc::new(AtomicBool::new(false));
         let workers: Vec<Worker> = builders
             .into_iter()
             .enumerate()
@@ -305,11 +363,10 @@ impl ParallelShardedDfi {
                 let (cmd_tx, cmd_rx) = sync_channel::<Cmd>(CMD_CHANNEL_DEPTH);
                 let (reply_tx, reply_rx) = sync_channel::<Reply>(REPLY_CHANNEL_DEPTH);
                 let cfg = config.clone();
-                let cell = Arc::clone(&store);
                 let wseed = shard_seed(seed, w);
                 let join = std::thread::Builder::new()
                     .name(format!("dfi-shard-{w}"))
-                    .spawn(move || worker_main(wseed, &cfg, &cell, builder, &cmd_rx, &reply_tx))
+                    .spawn(move || worker_main(wseed, cfg, builder, &cmd_rx, &reply_tx))
                     .expect("spawn shard worker");
                 Worker {
                     cmd: cmd_tx,
@@ -318,304 +375,160 @@ impl ParallelShardedDfi {
                 }
             })
             .collect();
-        let me = ParallelShardedDfi {
+        let link = Workers {
             workers,
-            routes,
-            store,
-            pm: PolicyManager::new(),
-            next_epoch: 0,
-            next_binding_epoch: 1,
-            publish_deferred: false,
-            deferred_flushes: Vec::new(),
-            gate: None,
-            history: VecDeque::new(),
-            metrics: ShardFanoutMetrics::default(),
             served: vec![0; n],
-            poisoned,
         };
-        for w in &me.workers {
-            match w.reply.recv() {
+        for w in 0..n {
+            match link.workers[w].reply.recv() {
                 Ok(Reply::Built) => {}
-                other => panic!("worker failed to build its world: got {:?}", kind(&other)),
+                Ok(other) => panic!("worker failed to build its world: got {}", kind(&other)),
+                Err(_) => panic!("worker failed to build its world: it hung up"),
             }
         }
-        me
+        ParallelShardedDfi {
+            front: ControlFront::new(link, SNAPSHOT_RETENTION),
+            routes,
+        }
     }
 
     /// Number of worker shards.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.workers.len()
+        self.front.link().workers.len()
     }
 
     /// The shard owning `dpid` — the same pure partition the cooperative
-    /// front-end and the topology tests use.
+    /// front and the topology tests use.
     #[must_use]
     pub fn shard_of(&self, dpid: u64) -> usize {
-        shard_of(dpid, self.workers.len())
+        self.front.shard_of(dpid)
     }
 
     /// Injects `frame` at worker `shard`'s tap `tap`, at the worker's
     /// current sim time.
     pub fn punt(&mut self, shard: usize, tap: u32, frame: Vec<u8>) {
-        self.send(
-            shard,
-            Cmd::Punt {
-                tap,
-                frame,
-                at: None,
-            },
-        );
+        let punt = Cmd::Punt {
+            tap,
+            frame,
+            at: None,
+        };
+        self.front.link().send(shard, punt);
     }
 
     /// Injects `frame` at worker `shard`'s tap `tap`, scheduled at
     /// absolute worker-sim time `at` (clamped to the worker's now if
     /// already past).
     pub fn punt_at(&mut self, shard: usize, tap: u32, frame: Vec<u8>, at: SimTime) {
-        self.send(
-            shard,
-            Cmd::Punt {
-                tap,
-                frame,
-                at: Some(at),
-            },
-        );
+        let punt = Cmd::Punt {
+            tap,
+            frame,
+            at: Some(at),
+        };
+        self.front.link().send(shard, punt);
     }
 
     /// Runs every worker's clock up to `t` (fire-and-forget; commands
     /// sent afterwards are processed at `t` or later).
     pub fn advance_all(&mut self, t: SimTime) {
-        for w in 0..self.workers.len() {
-            self.send(w, Cmd::AdvanceTo(t));
+        for w in 0..self.shard_count() {
+            self.front.link().send(w, Cmd::AdvanceTo(t));
         }
     }
 
-    /// Stamps `ops` as one batch and fans it to the shards that need it:
-    /// MAC-location ops go only to the shard owning their dpid, everything
-    /// else broadcasts — identical routing to the cooperative front-end.
-    /// Returns the batch's epoch stamp.
+    // ------------------------------------------------------------------
+    // Policy and bindings (the front's one copy; see `ControlFront`)
+    // ------------------------------------------------------------------
+
+    /// Stamps `ops` as one batch and routes it; returns the stamp (see
+    /// [`ControlFront::apply_binding_ops`]).
     pub fn apply_binding_ops(&mut self, ops: Vec<BindingOp>) -> u64 {
-        let epoch = self.next_binding_epoch;
-        self.next_binding_epoch += 1;
-        self.metrics.binding_batches += 1;
-        let routed = ops.iter().any(|op| {
-            matches!(
-                op,
-                BindingOp::Bind(Binding::MacLocation { .. })
-                    | BindingOp::Unbind(Binding::MacLocation { .. })
-            )
-        });
-        let mut delivered = 0u64;
-        if routed {
-            for w in 0..self.workers.len() {
-                let mine: Vec<BindingOp> = ops
-                    .iter()
-                    .filter(|op| {
-                        let b = match op {
-                            BindingOp::Bind(b) | BindingOp::Unbind(b) => b,
-                        };
-                        match b {
-                            Binding::MacLocation { dpid, .. } => self.shard_of(*dpid) == w,
-                            _ => true,
-                        }
-                    })
-                    .cloned()
-                    .collect();
-                if !mine.is_empty() {
-                    delivered += mine.len() as u64;
-                    self.send(w, Cmd::Bindings(BindingBatch { epoch, ops: mine }));
-                }
-            }
-        } else {
-            delivered = (ops.len() * self.workers.len()) as u64;
-            let last = self.workers.len() - 1;
-            for w in 0..last {
-                self.send(
-                    w,
-                    Cmd::Bindings(BindingBatch {
-                        epoch,
-                        ops: ops.clone(),
-                    }),
-                );
-            }
-            self.send(last, Cmd::Bindings(BindingBatch { epoch, ops }));
-        }
-        self.metrics.binding_ops_delivered += delivered;
-        epoch
+        self.front.apply_binding_ops(ops)
     }
 
-    /// Applies `mutations` as one policy commit across the worker fleet:
-    /// gathers default-deny notes from every worker (when the commit
-    /// inserts), applies the mutations to the fleet's one Policy Manager,
-    /// sends the union of their cookie flushes down every channel once,
-    /// then publishes through one epoch barrier. Mirrors the cooperative
-    /// front-end step for step.
+    /// Applies `mutations` as one policy commit across the worker fleet
+    /// (see [`ControlFront::commit_policy`]): one flush fan-out, one epoch
+    /// barrier.
     ///
     /// # Panics
     ///
     /// Panics if a worker hung up or answered out of protocol.
     pub fn commit_policy(&mut self, mutations: Vec<PolicyMutation>) -> CommitOutcome {
-        if mutations.iter().any(PolicyMutation::is_insert) {
-            let mut noted = false;
-            for w in 0..self.workers.len() {
-                self.send(w, Cmd::TakeNote);
-            }
-            for w in &self.workers {
-                match w.reply.recv() {
-                    Ok(Reply::Note(b)) => noted |= b,
-                    other => panic!("expected a note reply, got {:?}", kind(&other)),
-                }
-            }
-            if noted {
-                self.pm.note_default_deny_cached();
-            }
-        }
-        let outcome = self.pm.commit(mutations);
-        if outcome.applied > 0 {
-            self.fanout_flushes(&outcome.flush);
-            self.republish(&outcome.flush);
-        }
-        outcome
+        self.front.commit_policy(&mut (), mutations)
     }
 
-    /// Inserts a policy rule fleet-wide (a one-mutation commit).
+    /// Inserts a policy rule fleet-wide (see
+    /// [`ControlFront::insert_policy`]).
     pub fn insert_policy(
         &mut self,
         rule: crate::policy::PolicyRule,
         priority: u32,
         pdp: &str,
     ) -> PolicyId {
-        let outcome = self.commit_policy(vec![PolicyMutation::insert(rule, priority, pdp)]);
-        outcome.inserted[0]
+        self.front.insert_policy(&mut (), rule, priority, pdp)
     }
 
-    /// Revokes a policy rule fleet-wide (a one-mutation commit). Returns
-    /// `false` for unknown ids.
+    /// Revokes a policy rule fleet-wide (see
+    /// [`ControlFront::revoke_policy`]).
     pub fn revoke_policy(&mut self, id: PolicyId) -> bool {
-        self.commit_policy(vec![PolicyMutation::Revoke(id)]).applied > 0
+        self.front.revoke_policy(&mut (), id)
     }
 
-    /// Installs the certification hook consulted before every publication.
-    pub fn set_snapshot_gate(&mut self, gate: ParSnapshotGate) {
-        self.gate = Some(gate);
+    /// Re-ranks a policy rule in place (see
+    /// [`ControlFront::re_rank_policy`]).
+    pub fn re_rank_policy(&mut self, id: PolicyId, new_priority: u32) -> bool {
+        self.front.re_rank_policy(&mut (), id, new_priority)
     }
 
-    /// The front-end's retained retired snapshots, oldest first (at most
-    /// [`SNAPSHOT_RETENTION`]).
+    /// Rolls back to a retained snapshot epoch across the barrier (see
+    /// [`ControlFront::rollback_snapshot`]).
+    pub fn rollback_snapshot(&mut self, epoch: u64) -> bool {
+        self.front.rollback_snapshot(&mut (), epoch)
+    }
+
+    /// Applies a verified repair plan's steps (see
+    /// [`ControlFront::apply_repair_steps`]).
+    pub fn apply_repair_steps(&mut self, steps: &[RepairStepData]) {
+        self.front.apply_repair_steps(&mut (), steps);
+    }
+
+    /// Runs a closure against the fleet's Policy Manager (see
+    /// [`ControlFront::with_pm`]).
+    pub fn with_pm<R>(&mut self, f: impl FnOnce(&mut PolicyManager) -> R) -> R {
+        self.front.with_pm(f)
+    }
+
+    /// Installs the certification gate (see [`SnapshotGate`]).
+    pub fn set_snapshot_gate(&mut self, gate: SnapshotGate) {
+        self.front.set_snapshot_gate(gate);
+    }
+
+    /// The front's retention ring, oldest first.
     #[must_use]
     pub fn snapshot_history(&self) -> Vec<Arc<PolicySnapshot>> {
-        self.history.iter().map(Arc::clone).collect()
-    }
-
-    /// One-command rollback to a retained snapshot epoch across the
-    /// worker fleet: restores the front-end Policy Manager to the
-    /// retained rule set, fans the diff's cookie flushes down every
-    /// worker channel, and republishes through the certify → epoch
-    /// barrier (a one-mutation commit). Returns `false` when `epoch` left
-    /// the retention ring.
-    pub fn rollback_snapshot(&mut self, epoch: u64) -> bool {
-        let Some(target) = self
-            .history
-            .iter()
-            .find(|s| s.epoch() == epoch)
-            .map(Arc::clone)
-        else {
-            return false;
-        };
-        self.commit_policy(vec![PolicyMutation::Restore(target)]);
-        true
-    }
-
-    fn fanout_flushes(&mut self, ids: &[PolicyId]) {
-        if ids.is_empty() {
-            return;
-        }
-        self.metrics.flush_fanouts += 1;
-        for w in 0..self.workers.len() {
-            self.send(w, Cmd::Flushes(ids.to_vec()));
-        }
-    }
-
-    /// Certify → compile once → publish to the shared store → `Epoch`
-    /// command down every channel → **block for every ack**, once per
-    /// commit. The barrier
-    /// is what preserves the no-two-epochs guarantee across threads: no
-    /// later command of any kind is admitted until every shard serves the
-    /// new epoch.
-    fn republish(&mut self, flush_hint: &[PolicyId]) {
-        let witnesses = match self.gate.take() {
-            Some(mut hook) => {
-                let w = hook(&self.pm);
-                self.gate = Some(hook);
-                w
-            }
-            None => Vec::new(),
-        };
-        if witnesses.is_empty() {
-            self.next_epoch += 1;
-            let epoch = self.next_epoch;
-            let snap = Arc::new(PolicySnapshot::compile(&self.pm, epoch));
-            self.metrics.snapshot_fanouts += 1;
-            let recovered = if self.publish_deferred {
-                self.publish_deferred = false;
-                Some(std::mem::take(&mut self.deferred_flushes))
-            } else {
-                None
-            };
-            let recovery = recovered.is_some();
-            let reflush = recovered.unwrap_or_default();
-            if !reflush.is_empty() {
-                self.metrics.flush_fanouts += 1;
-            }
-            let retiring = self.store.load();
-            if retiring.epoch() > 0 {
-                self.history.push_back(retiring);
-                while self.history.len() > SNAPSHOT_RETENTION {
-                    self.history.pop_front();
-                }
-            }
-            self.store.publish(snap);
-            for w in 0..self.workers.len() {
-                self.send(
-                    w,
-                    Cmd::Epoch {
-                        epoch,
-                        recovery,
-                        reflush: reflush.clone(),
-                    },
-                );
-            }
-            for (w, worker) in self.workers.iter().enumerate() {
-                match worker.reply.recv() {
-                    Ok(Reply::EpochAck(e)) => {
-                        assert_eq!(e, epoch, "worker {w} acked the wrong epoch");
-                        self.served[w] = e;
-                    }
-                    other => panic!("expected an epoch ack, got {:?}", kind(&other)),
-                }
-            }
-        } else {
-            self.publish_deferred = true;
-            self.deferred_flushes.extend_from_slice(flush_hint);
-            self.metrics.snapshot_refusals += 1;
-        }
+        self.front.snapshot_history()
     }
 
     /// Drains the fleet to a global fixpoint: every worker runs to
     /// quiescence, cross-shard frames are routed to their owners (shard
     /// order, FIFO channels — deterministic), and the cycle repeats until
     /// no frame moved. Returns the merged fleet state at the fixpoint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker hung up, answered out of protocol, or relayed a
+    /// frame to a boundary no route names.
     pub fn drain(&mut self) -> FleetReport {
+        let n = self.shard_count();
         loop {
-            for w in 0..self.workers.len() {
-                self.send(w, Cmd::Drain);
+            let link = self.front.link_mut();
+            for w in 0..n {
+                link.send(w, Cmd::Drain);
             }
-            let reports: Vec<Box<DrainReport>> = self
-                .workers
-                .iter()
-                .map(|w| match w.reply.recv() {
-                    Ok(Reply::Drained(r)) => r,
-                    other => panic!("expected a drain report, got {:?}", kind(&other)),
+            let reports: Vec<Box<DrainReport>> = (0..n)
+                .map(|w| match link.recv(w) {
+                    Reply::Drained(r) => r,
+                    other => panic!("expected a drain report, got {}", kind(&other)),
                 })
                 .collect();
             let mut moved = false;
@@ -625,13 +538,11 @@ impl ParallelShardedDfi {
                         .routes
                         .get(boundary)
                         .unwrap_or_else(|| panic!("no route for boundary {boundary}"));
-                    self.send(
-                        owner,
-                        Cmd::Relay {
-                            boundary: *boundary,
-                            frame: frame.clone(),
-                        },
-                    );
+                    let relay = Cmd::Relay {
+                        boundary: *boundary,
+                        frame: frame.clone(),
+                    };
+                    link.send(owner, relay);
                     moved = true;
                 }
             }
@@ -649,9 +560,10 @@ impl ParallelShardedDfi {
                 fleet.served_epochs.push(report.served_epoch);
                 fleet.clocks.push(report.now);
                 fleet.events_executed += report.events_executed;
-                self.served[w] = report.served_epoch;
+                link.served[w] = report.served_epoch;
             }
             fleet.cookies.sort_by_key(|(dpid, _)| *dpid);
+            self.front.fill_metrics(&mut fleet.metrics);
             return fleet;
         }
     }
@@ -659,90 +571,87 @@ impl ParallelShardedDfi {
     /// The snapshot epoch each worker last reported/acked (shard order).
     #[must_use]
     pub fn served_epochs(&self) -> Vec<u64> {
-        self.served.clone()
+        self.front.link().served.clone()
     }
 
     /// `true` iff every worker serves the same snapshot epoch.
     #[must_use]
     pub fn epochs_agree(&self) -> bool {
-        self.served.windows(2).all(|w| w[0] == w[1])
+        self.front.link().served.windows(2).all(|w| w[0] == w[1])
     }
 
-    /// The front-end's own fanout-plane counters — field-compatible with
-    /// the cooperative front-end's, so the differential oracle compares
-    /// them directly.
+    /// The front's own counters — the same type every mode reports, so
+    /// the differential oracles compare them directly.
     #[must_use]
     pub fn fanout_metrics(&self) -> ShardFanoutMetrics {
-        self.metrics.clone()
+        self.front.fanout_metrics()
     }
 
-    /// Stops and joins every worker. Called by `Drop`; explicit calls get
-    /// deterministic shutdown points in tests.
-    pub fn shutdown(&mut self) {
-        for w in &self.workers {
-            // Workers that already exited (panicked) have hung up; that is
-            // fine, join below will surface it.
+    /// Stops and joins every worker. `Err` lists the workers (by index)
+    /// whose threads panicked. Dropping the fleet calls this and discards
+    /// the result; explicit calls get deterministic shutdown points and
+    /// the verdict.
+    pub fn shutdown(&mut self) -> Result<(), Vec<usize>> {
+        let workers = &mut self.front.link_mut().workers;
+        for w in workers.iter() {
+            // A worker that already exited (panicked) has hung up; its
+            // join below reports it.
             let _ = w.cmd.send(Cmd::Stop);
         }
-        for w in &mut self.workers {
-            if let Some(join) = w.join.take() {
-                if join.join().is_err() {
-                    self.poisoned.store(true, MemOrder::Release);
-                }
-            }
+        let panicked: Vec<usize> = workers
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(w, worker)| worker.join.take()?.join().is_err().then_some(w))
+            .collect();
+        if panicked.is_empty() {
+            Ok(())
+        } else {
+            Err(panicked)
         }
-        assert!(
-            !self.poisoned.load(MemOrder::Acquire),
-            "a shard worker panicked"
-        );
-    }
-
-    fn send(&self, shard: usize, cmd: Cmd) {
-        self.workers[shard]
-            .cmd
-            .send(cmd)
-            .expect("shard worker hung up");
     }
 }
 
 impl Drop for ParallelShardedDfi {
     fn drop(&mut self) {
-        if self.workers.iter().any(|w| w.join.is_some()) && !std::thread::panicking() {
-            self.shutdown();
-        }
+        // `shutdown` reports panicked workers; dropping must not panic.
+        let _ = self.shutdown();
     }
 }
 
-fn kind(r: &Result<Reply, std::sync::mpsc::RecvError>) -> &'static str {
+impl FrontHandle for &mut ParallelShardedDfi {
+    type Link = Workers;
+
+    fn with_front<R>(self, f: impl FnOnce(&mut ControlFront<Workers>) -> R) -> R {
+        f(&mut self.front)
+    }
+}
+
+fn kind(r: &Reply) -> &'static str {
     match r {
-        Ok(Reply::Built) => "Built",
-        Ok(Reply::Note(_)) => "Note",
-        Ok(Reply::EpochAck(_)) => "EpochAck",
-        Ok(Reply::Drained(_)) => "Drained",
-        Err(_) => "worker hung up",
+        Reply::Built => "Built",
+        Reply::Note(_) => "Note",
+        Reply::EpochAck(_) => "EpochAck",
+        Reply::Drained(_) => "Drained",
     }
 }
 
 /// The worker loop: owns the shard's complete world — deterministic clock,
-/// `Dfi`, data-plane slice, controller replica — and serializes every
-/// front-end command against it.
+/// `DataShard`, data-plane slice, controller replica — and serializes
+/// every front command against it.
 fn worker_main(
     seed: u64,
-    config: &DfiConfig,
-    store: &SharedSnapshotStore,
+    config: DfiConfig,
     builder: WorldBuilder,
     cmds: &Receiver<Cmd>,
     replies: &SyncSender<Reply>,
 ) {
     let mut sim = Sim::new(seed);
-    let dfi = Dfi::new(config.clone());
-    dfi.set_snapshot_retention(SNAPSHOT_RETENTION);
+    let shard = DataShard::new(config);
     let outbox = Outbox::default();
-    let mut world = builder(&mut sim, &dfi, &outbox);
+    let mut world = builder(&mut sim, &shard, &outbox);
     let boundaries: HashMap<u64, dfi_dataplane::ByteSink> = world.boundaries.drain(..).collect();
     sim.run();
     replies.send(Reply::Built).expect("front-end hung up");
-    let mut served = 0u64;
     while let Ok(cmd) = cmds.recv() {
         match cmd {
             Cmd::Punt { tap, frame, at } => {
@@ -764,40 +673,26 @@ fn worker_main(
                 sink(&mut sim, &frame);
             }
             Cmd::Bindings(batch) => {
-                let _fresh = dfi.apply_binding_batch(&batch);
+                let _fresh = shard.apply_binding_batch(&batch);
             }
             Cmd::Flushes(ids) => {
                 for id in ids {
-                    dfi.invalidate_cached_policy(id);
-                    dfi.flush_policy_rules(&mut sim, id);
+                    shard.flush_policy(&mut sim, id);
                 }
             }
-            Cmd::Epoch {
-                epoch,
-                recovery,
-                reflush,
-            } => {
-                let snap = store.load();
-                assert_eq!(
-                    snap.epoch(),
-                    epoch,
-                    "the barrier admits exactly one outstanding epoch"
-                );
-                dfi.install_shared_snapshot(snap, recovery);
-                for id in reflush {
-                    dfi.invalidate_cached_policy(id);
-                    dfi.flush_policy_rules(&mut sim, id);
-                }
-                served = epoch;
+            Cmd::Epoch { snapshot, recovery } => {
+                let epoch = snapshot.epoch();
+                shard.install(snapshot, recovery);
                 replies
                     .send(Reply::EpochAck(epoch))
                     .expect("front-end hung up");
             }
             Cmd::TakeNote => {
                 replies
-                    .send(Reply::Note(dfi.take_default_deny_note()))
+                    .send(Reply::Note(shard.take_default_deny_note()))
                     .expect("front-end hung up");
             }
+            Cmd::Repair(step) => shard.switch_step(&mut sim, &step),
             Cmd::AdvanceTo(t) => {
                 sim.run_until(t);
             }
@@ -806,10 +701,10 @@ fn worker_main(
                 let (deliveries, cookies) = (world.observe)(&mut sim);
                 let report = DrainReport {
                     relays: outbox.take(),
-                    metrics: dfi.metrics(),
+                    metrics: shard.metrics(),
                     deliveries,
                     cookies,
-                    served_epoch: served,
+                    served_epoch: shard.snapshot().epoch(),
                     now: sim.now(),
                     events_executed: sim.events_executed(),
                 };
@@ -819,5 +714,52 @@ fn worker_main(
             }
             Cmd::Stop => break,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A world with no taps: any punt indexes past its end and panics the
+    /// worker.
+    fn tapless_builders(n: usize) -> Vec<WorldBuilder> {
+        (0..n)
+            .map(|_| {
+                Box::new(|_: &mut Sim, _: &DataShard, _: &Outbox| WorkerWorld {
+                    taps: Vec::new(),
+                    boundaries: Vec::new(),
+                    observe: Box::new(|_| (HostDeliveries::new(), CookieSets::new())),
+                }) as WorldBuilder
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_panicked_worker_is_reported_by_shutdown_and_drop_stays_quiet() {
+        let mut fleet = ParallelShardedDfi::new(
+            &DfiConfig::default(),
+            7,
+            tapless_builders(2),
+            HashMap::new(),
+        );
+        fleet.punt(1, 0, vec![0; 60]);
+        assert_eq!(fleet.shutdown(), Err(vec![1]), "worker 1 panicked");
+        assert_eq!(
+            fleet.shutdown(),
+            Ok(()),
+            "a second shutdown has nothing to join"
+        );
+
+        // Dropping a fleet whose worker died, without `shutdown`, must not
+        // panic inside `drop`.
+        let mut dropped = ParallelShardedDfi::new(
+            &DfiConfig::default(),
+            8,
+            tapless_builders(1),
+            HashMap::new(),
+        );
+        dropped.punt(0, 3, vec![0; 60]);
+        drop(dropped);
     }
 }

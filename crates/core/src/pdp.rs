@@ -37,9 +37,9 @@
 //!
 //! [`PolicySnapshot`]: crate::policy::PolicySnapshot
 
-use crate::dfi::Dfi;
 use crate::events::{topic, DfiEvent};
 use crate::policy::{EndpointPattern, PolicyId, PolicyMutation, PolicyRule, RbacRoles};
+use crate::shard::Dfi;
 use dfi_simnet::Sim;
 use std::cell::RefCell;
 use std::collections::HashMap;

@@ -15,4 +15,4 @@ pub use model::{
     WildName,
 };
 pub use roles::RbacRoles;
-pub use snapshot::{PolicySnapshot, SharedSnapshotStore, SnapshotStore, INLINE_CURSORS};
+pub use snapshot::{PolicySnapshot, INLINE_CURSORS};

@@ -4,9 +4,10 @@
 //! engine. The mutable [`PolicyManager`] stays the single source of truth
 //! on the control plane; every mutation *lowers* the current rule set into
 //! a [`PolicySnapshot`] — a frozen classifier over the exact same bucket
-//! dimensions as the manager's live index — which is then published by
-//! pointer swap ([`SnapshotStore::publish`]). The packet path reads only
-//! the snapshot: no locks, no `&mut PolicyManager`, no allocation.
+//! dimensions as the manager's live index — which the control front then
+//! publishes to every data shard as one `Arc` (a pointer swap per shard).
+//! The packet path reads only the snapshot: no locks, no
+//! `&mut PolicyManager`, no allocation.
 //!
 //! # Arbitration is bit-identical
 //!
@@ -55,29 +56,17 @@
 //!
 //! A compiled [`PolicySnapshot`] is plain immutable data (`Vec`s,
 //! `String`s, integers) and therefore `Send + Sync`; it crosses thread
-//! boundaries behind an `Arc` (statically asserted below). Each worker's
-//! [`SnapshotStore`] swaps that `Arc` under a `RefCell` — the store itself
-//! stays thread-*local* (one per `Dfi`, owned by its worker), only the
-//! snapshot inside it is shared. The cross-thread hand-off cell is
-//! [`SharedSnapshotStore`]: the front-end publishes there once per epoch
-//! and workers pick the `Arc` up with an epoch-checked load — one relaxed
-//! atomic read on the fast path, the mutex taken only when the epoch
-//! actually moved. The workspace-level `unsafe_code = "forbid"` keeps a
-//! hand-rolled `AtomicPtr` out of the library crates by design; the
-//! epoch-gated mutex gives the same "readers never block each other on
-//! the decide path" property without it, because workers cache the
-//! loaded `Arc` and touch the mutex at most once per published epoch.
+//! boundaries behind an `Arc` (statically asserted below), carried by
+//! value in the worker channels' epoch command. A reader that loaded the
+//! `Arc` keeps deciding on it while a newer one is published; the old
+//! version is dropped with its last reader.
 
 use crate::policy::manager::{Decision, PolicyManager, DEFAULT_DENY_ID};
 use crate::policy::model::{
     EndpointPattern, FlowProperties, FlowView, PolicyAction, PolicyRule, Wild, WildName,
 };
-use std::cell::{Cell, RefCell};
 use std::cmp::{Ordering, Reverse};
-use std::collections::VecDeque;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering as MemOrder};
-use std::sync::{Arc, Mutex};
 
 /// Cursor slots kept inline (stack) during a classification. A flow
 /// contributes one cursor per bound username/hostname plus one per packet
@@ -489,7 +478,7 @@ fn fast_verdict(entries: &[Entry], rules: &[CompiledRule]) -> Option<Decision> {
 
 /// An immutable, pre-compiled classifier over the current policy rule
 /// set. Built on the control plane by [`PolicySnapshot::compile`],
-/// published via [`SnapshotStore::publish`], and read — never written —
+/// published to every data shard as one `Arc`, and read — never written —
 /// by the flow-setup hot path.
 #[derive(Clone, Debug, Default)]
 pub struct PolicySnapshot {
@@ -846,171 +835,12 @@ impl PolicySnapshot {
     }
 }
 
-/// The published-snapshot cell: the control plane [`SnapshotStore::publish`]es,
-/// the hot path [`SnapshotStore::load`]s. Thread-local (one per `Dfi`,
-/// owned by its worker — see module docs); `load` is a reference-count
-/// bump, so a reader holds its snapshot alive across a concurrent
-/// publish. The snapshot itself travels as an [`Arc`], so the same
-/// compilation can sit in many workers' stores at once.
-///
-/// A store may additionally **retain** the last N certified snapshots it
-/// retired ([`SnapshotStore::set_retention`]). Retention serves two
-/// purposes in the sharded proxy: it gives operators a rollback window of
-/// known-certified versions, and — because every shard's store retires the
-/// *same* `Arc` the front-end fanned out — it lets the fanout tests prove
-/// with pointer identity that all shards served one compilation per epoch.
-#[derive(Debug)]
-pub struct SnapshotStore {
-    current: RefCell<Arc<PolicySnapshot>>,
-    retain: Cell<usize>,
-    retired: RefCell<VecDeque<Arc<PolicySnapshot>>>,
-}
-
-impl Default for SnapshotStore {
-    fn default() -> Self {
-        SnapshotStore::new(PolicySnapshot::empty())
-    }
-}
-
-impl SnapshotStore {
-    /// Creates a store serving `snapshot`, retaining nothing on retire.
-    #[must_use]
-    pub fn new(snapshot: PolicySnapshot) -> Self {
-        SnapshotStore {
-            current: RefCell::new(Arc::new(snapshot)),
-            retain: Cell::new(0),
-            retired: RefCell::new(VecDeque::new()),
-        }
-    }
-
-    /// Sets how many retired certified snapshots to keep (0 = retire
-    /// immediately, the pre-sharding behaviour). Shrinking drops the
-    /// oldest surplus versions at once.
-    pub fn set_retention(&self, keep: usize) {
-        self.retain.set(keep);
-        let mut retired = self.retired.borrow_mut();
-        while retired.len() > keep {
-            retired.pop_front();
-        }
-    }
-
-    /// The current snapshot (cheap: one refcount bump, no copy).
-    #[must_use]
-    pub fn load(&self) -> Arc<PolicySnapshot> {
-        Arc::clone(&self.current.borrow())
-    }
-
-    /// Atomically replaces the served snapshot; in-flight readers keep
-    /// the version they loaded ("retire" is just the old `Arc` dropping to
-    /// zero, unless retention keeps it). Returns the retired snapshot.
-    pub fn publish(&self, snapshot: PolicySnapshot) -> Arc<PolicySnapshot> {
-        self.publish_shared(Arc::new(snapshot))
-    }
-
-    /// [`SnapshotStore::publish`] for an already-shared snapshot. The
-    /// sharded front-end compiles **once** and publishes the same `Arc`
-    /// into every shard's store, so fanout cost is per-shard pointer
-    /// swaps, not per-shard compilations.
-    pub fn publish_shared(&self, snapshot: Arc<PolicySnapshot>) -> Arc<PolicySnapshot> {
-        let old = self.current.replace(snapshot);
-        if self.retain.get() > 0 {
-            let mut retired = self.retired.borrow_mut();
-            retired.push_back(Arc::clone(&old));
-            while retired.len() > self.retain.get() {
-                retired.pop_front();
-            }
-        }
-        old
-    }
-
-    /// The retained retired snapshots, oldest first. Together with
-    /// [`SnapshotStore::load`] this is the store's full certified version
-    /// window.
-    #[must_use]
-    pub fn retained(&self) -> Vec<Arc<PolicySnapshot>> {
-        self.retired.borrow().iter().map(Arc::clone).collect()
-    }
-}
-
 /// A compiled snapshot must be able to cross worker-thread boundaries;
 /// this fails to compile the moment anyone threads an `Rc`/`Cell` into it.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<PolicySnapshot>();
-    assert_send_sync::<SharedSnapshotStore>();
 };
-
-/// The cross-thread publication cell for the parallel sharded proxy: the
-/// front-end [`SharedSnapshotStore::publish`]es one certified compile per
-/// epoch, every worker [`SharedSnapshotStore::load_if_newer`]s it into its
-/// own thread-local [`SnapshotStore`].
-///
-/// `unsafe_code = "forbid"` rules out `AtomicPtr`/`arc_swap`, so the cell
-/// is an epoch counter plus a mutex-held `Arc` — but the mutex is *not* on
-/// the decide path. Workers pass the epoch they already serve; the fast
-/// path is a single relaxed atomic load that says "nothing new", and the
-/// lock is taken only on the epoch transitions the front-end's barrier
-/// serializes anyway (at most once per publish per worker, never
-/// concurrently with another publish).
-#[derive(Debug)]
-pub struct SharedSnapshotStore {
-    /// Epoch of the snapshot in `current`. Written while holding the
-    /// mutex, read without it; `Acquire`/`Release` pairs the counter with
-    /// the `Arc` it advertises.
-    epoch: AtomicU64,
-    current: Mutex<Arc<PolicySnapshot>>,
-}
-
-impl Default for SharedSnapshotStore {
-    fn default() -> Self {
-        SharedSnapshotStore::new(Arc::new(PolicySnapshot::empty()))
-    }
-}
-
-impl SharedSnapshotStore {
-    /// Creates a cell serving `snapshot`.
-    #[must_use]
-    pub fn new(snapshot: Arc<PolicySnapshot>) -> Self {
-        SharedSnapshotStore {
-            epoch: AtomicU64::new(snapshot.epoch()),
-            current: Mutex::new(snapshot),
-        }
-    }
-
-    /// The epoch currently advertised (one relaxed-cost atomic load).
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(MemOrder::Acquire)
-    }
-
-    /// Publishes a new epoch's snapshot. Epochs must be monotone — the
-    /// front-end's barrier guarantees no concurrent publish.
-    pub fn publish(&self, snapshot: Arc<PolicySnapshot>) {
-        let epoch = snapshot.epoch();
-        let mut cur = self.current.lock().expect("snapshot cell poisoned");
-        debug_assert!(cur.epoch() <= epoch, "epochs must be monotone");
-        *cur = snapshot;
-        self.epoch.store(epoch, MemOrder::Release);
-    }
-
-    /// Epoch-checked load: returns the advertised snapshot only when its
-    /// epoch differs from `served`, without touching the mutex otherwise.
-    #[must_use]
-    pub fn load_if_newer(&self, served: u64) -> Option<Arc<PolicySnapshot>> {
-        if self.epoch.load(MemOrder::Acquire) == served {
-            return None;
-        }
-        Some(Arc::clone(
-            &self.current.lock().expect("snapshot cell poisoned"),
-        ))
-    }
-
-    /// The advertised snapshot, unconditionally.
-    #[must_use]
-    pub fn load(&self) -> Arc<PolicySnapshot> {
-        Arc::clone(&self.current.lock().expect("snapshot cell poisoned"))
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -1127,53 +957,6 @@ mod tests {
         out.clear();
         snap.classify_batch(&flows, &mut out);
         assert_eq!(out.len(), 3);
-    }
-
-    #[test]
-    fn store_swaps_while_a_reader_holds_the_old_version() {
-        let mut pm = PolicyManager::new();
-        pm.insert(PolicyRule::allow_all(), 1, "t");
-        let store = SnapshotStore::default();
-        let old = store.load();
-        assert_eq!(old.rule_count(), 0);
-        let retired = store.publish(PolicySnapshot::compile(&pm, 1));
-        assert_eq!(retired.rule_count(), 0);
-        // The in-flight reader still serves its frozen version...
-        assert_eq!(old.classify(&flow("a", "b")).policy, DEFAULT_DENY_ID);
-        // ...while new loads see the published one.
-        assert_ne!(
-            store.load().classify(&flow("a", "b")).policy,
-            DEFAULT_DENY_ID
-        );
-        assert_eq!(store.load().epoch(), 1);
-    }
-
-    #[test]
-    fn retention_keeps_the_last_n_certified_versions() {
-        let pm = PolicyManager::new();
-        let store = SnapshotStore::default();
-        store.set_retention(2);
-        for epoch in 1..=5 {
-            store.publish(PolicySnapshot::compile(&pm, epoch));
-        }
-        let window: Vec<u64> = store.retained().iter().map(|s| s.epoch()).collect();
-        assert_eq!(
-            window,
-            vec![3, 4],
-            "oldest-first window of retired versions"
-        );
-        assert_eq!(store.load().epoch(), 5);
-        // Shrinking the window drops the oldest surplus immediately.
-        store.set_retention(1);
-        let window: Vec<u64> = store.retained().iter().map(|s| s.epoch()).collect();
-        assert_eq!(window, vec![4]);
-        // Shared publication retires into the same window.
-        let shared = Arc::new(PolicySnapshot::compile(&pm, 6));
-        let retired = store.publish_shared(Arc::clone(&shared));
-        assert_eq!(retired.epoch(), 5);
-        assert!(Arc::ptr_eq(&store.load(), &shared));
-        let window: Vec<u64> = store.retained().iter().map(|s| s.epoch()).collect();
-        assert_eq!(window, vec![5]);
     }
 
     /// The residual-precompilation regimes: a uniform-priority dst-host

@@ -1,62 +1,39 @@
-//! The sharded DFI proxy: per-dpid scale-out of the control plane.
+//! The cooperative proxy: [`Dfi`] is one [`ControlFront`] over N direct
+//! [`DataShard`]s on the caller's simulation.
 //!
-//! The paper's DFI is one proxy process in front of one controller; its
-//! measured ceiling is ~1350 flows/sec (Table I). A fleet of a thousand
-//! switches needs more, and because the PR 6 refactor made the hot path
-//! read an immutable [`PolicySnapshot`], scaling out is no longer a
-//! locking problem — it is a *publication-fanout and binding-ownership*
-//! problem. This module solves exactly that:
+//! The paper's DFI is one proxy process in front of one controller:
+//! [`Dfi::new`] is that proxy, a front over one shard. A fleet of a
+//! thousand switches needs more than its measured ceiling of ~1350
+//! flows/sec (Table I), and because the hot path reads an immutable
+//! [`PolicySnapshot`], scaling out is not a
+//! locking problem but a publication-fanout and binding-ownership problem.
+//! [`Dfi::sharded`] solves exactly that with the same front over N shards:
 //!
-//! * **Ownership.** A [`ShardedDfi`] front-end partitions switches over N
-//!   worker shards by dpid ([`dfi_simnet::topo::shard_of`] — the same pure
-//!   function the topology tests check is a partition). Each shard is a
-//!   complete [`Dfi`]: its own PCP/binding/policy queueing stations, its
-//!   own [`DecisionCache`](crate::DecisionCache)-backed PCP, its own
-//!   `SnapshotStore` reader, and its own ERM replica. A switch's entire
-//!   packet-in/install/flush lifecycle happens on its owning shard.
-//! * **Policy truth.** The front-end owns the one [`PolicyManager`].
-//!   A commit ([`ShardedDfi::commit_policy`]; `insert_policy` /
-//!   `revoke_policy` are one-mutation commits) updates it, fans the union
-//!   of the resulting cookie flushes to every shard once (cache
-//!   invalidation at the same point as the switch-side flush, exactly like
-//!   the unsharded path), then compiles **once** and publishes the same
-//!   `Arc<PolicySnapshot>` into every shard's store. The fanout is atomic
-//!   with respect to the simulation: it completes within one event, so no
-//!   two shards ever serve different certified epochs to the same flow's
-//!   path ([`ShardedDfi::served_epochs`] lets tests assert agreement).
-//! * **Certification.** A [`ShardSnapshotGate`] is consulted before every
-//!   publication, mirroring the unsharded gate: a refusal defers — *no*
-//!   shard receives the candidate, all keep serving the prior epoch — and
-//!   the next clean publication is a recovery that re-issues deferred
-//!   flushes and bulk-expires stale cache entries on every shard. Shards
-//!   retain the last [`SNAPSHOT_RETENTION`] retired certified snapshots
-//!   ([`Dfi::snapshot_history`]), giving a rollback window and letting
-//!   tests prove single-compilation fanout by pointer identity.
+//! * **Ownership.** Switches are partitioned over the shards by dpid
+//!   ([`dfi_simnet::topo::shard_of`] — the same pure function the topology
+//!   tests check is a partition). A switch's entire packet-in / install /
+//!   flush lifecycle happens on its owning shard, each with its own
+//!   PCP/binding/policy queueing stations, decision cache, snapshot and
+//!   ERM replica.
+//! * **Policy truth.** The front owns the one Policy Manager; shards have
+//!   none, so the type itself rules out a shard republishing policy of its
+//!   own. A commit fans its cookie flushes to every shard once, then
+//!   compiles **once** and installs the same `Arc` on every shard. The
+//!   fanout completes within one simulation event, so no two shards ever
+//!   serve different certified epochs to the same flow's path
+//!   ([`Dfi::served_epochs`] lets tests assert agreement). A refusal
+//!   touches no shard.
 //! * **Binding fanout.** Sensor events (DHCP, DNS, SIEM) land on the
-//!   front-end's bus. Each is turned into a [`BindingOp`] and fanned out
-//!   as an epoch-stamped [`BindingBatch`]: strictly increasing epochs,
-//!   applied at most once per shard, stale deliveries ignored. IP-, name-
-//!   and session-keyed ops broadcast to every shard (any shard may resolve
-//!   flows through those identifiers); MAC-location ops route to the
-//!   owning shard only (locations are learned from packet-ins, which only
-//!   the owner sees). Application uses the same
-//!   [`binding_op_of_event`](crate::dfi::binding_op_of_event) mapping and
-//!   invalidation rules as a directly-subscribed DFI, which is what makes
-//!   the sharded system decision-equivalent to the unsharded oracle
-//!   (proved by `tests/sharded_oracle.rs`).
-//!
-//! # What a shard `Dfi` must never do
-//!
-//! A shard's own `PolicyManager` stays empty forever; its policy state
-//! arrives exclusively through snapshot fanout. Calling `insert_policy`,
-//! `revoke_policy`, or a mutating `with_pm` *on a shard* would republish
-//! from that empty manager and wipe the shard's served policy. The shard
-//! handles returned by [`ShardedDfi::shards`] are for observation
-//! (metrics, table state, ERM queries) and switch wiring only.
+//!   front's bus and are routed as epoch-stamped
+//!   [`BindingBatch`]es: IP-, name- and
+//!   session-keyed ops to every shard (any shard may resolve flows through
+//!   them), MAC-location ops to the owning shard only. That is what makes
+//!   N shards decision-equivalent to one (proved by
+//!   `tests/sharded_oracle.rs`).
 
-use crate::dfi::{binding_op_of_event, BindingBatch, BindingOp, Dfi, DfiConfig, DfiMetrics};
-use crate::erm::Binding;
-use crate::events::{topic, DfiEvent, SnapshotWitness};
+use crate::dfi::{binding_op_of_event, BindingBatch, BindingOp, DataShard, DfiConfig, DfiMetrics};
+use crate::events::{topic, DfiEvent, RepairStepData};
+use crate::front::{ControlFront, FrontHandle, ShardFanoutMetrics, ShardLink, SnapshotGate};
 use crate::policy::{
     CommitOutcome, PolicyId, PolicyManager, PolicyMutation, PolicyRule, PolicySnapshot,
 };
@@ -64,131 +41,144 @@ use dfi_bus::Bus;
 use dfi_dataplane::{ByteSink, Switch};
 use dfi_simnet::topo::shard_of;
 use dfi_simnet::Sim;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Retired certified snapshots each shard's store keeps (the versioned
-/// rollback window).
+/// Retired certified snapshots a sharded front keeps for rollback. A
+/// single-shard [`Dfi`] keeps none unless
+/// [`Dfi::set_snapshot_retention`] asks.
 pub const SNAPSHOT_RETENTION: usize = 4;
 
-/// The sharded certification hook: consulted before every snapshot
-/// publication, exactly like the unsharded
-/// [`SnapshotGate`](crate::SnapshotGate) but handed the front-end. Taken
-/// out while running, so it may re-enter `ShardedDfi` methods.
-pub type ShardSnapshotGate = Box<dyn FnMut(&mut Sim, &ShardedDfi) -> Vec<SnapshotWitness>>;
-
-/// Fanout-plane counters (the front-end's own work, distinct from the
-/// per-shard [`DfiMetrics`]).
-#[derive(Clone, Debug, Default)]
-pub struct ShardFanoutMetrics {
-    /// Certified snapshots compiled once and fanned to every shard.
-    pub snapshot_fanouts: u64,
-    /// Publications refused by the gate (no shard touched).
-    pub snapshot_refusals: u64,
-    /// Epoch-stamped binding batches fanned out.
-    pub binding_batches: u64,
-    /// Individual binding ops carried by those batches, summed over the
-    /// shards each op was delivered to.
-    pub binding_ops_delivered: u64,
-    /// Cookie-flush fanouts (each touches every shard).
-    pub flush_fanouts: u64,
-}
-
-struct FrontInner {
-    pm: PolicyManager,
-    /// Monotonic snapshot publication counter (front-end wide; shard
-    /// stores only ever see epochs from this sequence).
-    next_epoch: u64,
-    /// Monotonic binding-batch stamp; starts at 1 so stamp 0 stays the
-    /// "unstamped" wildcard.
-    next_binding_epoch: u64,
-    /// `true` while the served snapshots lag the Policy Manager because
-    /// the gate refused publication.
-    publish_deferred: bool,
-    /// Cookie flushes to re-issue on every shard at the recovery
-    /// publication.
-    deferred_flushes: Vec<PolicyId>,
-    gate: Option<ShardSnapshotGate>,
-    metrics: ShardFanoutMetrics,
-}
-
-/// The sharded DFI front-end. Cheap to clone (shared handle), like [`Dfi`].
-#[derive(Clone)]
-pub struct ShardedDfi {
-    shards: Rc<Vec<Dfi>>,
-    inner: Rc<RefCell<FrontInner>>,
+/// The direct link: shards called in place, on the caller's simulation.
+pub struct DirectShards {
+    shards: Rc<[DataShard]>,
     bus: Bus<DfiEvent>,
 }
 
-impl ShardedDfi {
-    /// Builds a front-end over `n_shards` complete DFI worker shards, each
-    /// configured with its own copy of `config`, and subscribes the
-    /// front-end's binding fanout to the sensor topics on the returned
-    /// handle's bus.
+impl ShardLink for DirectShards {
+    type Cx = Sim;
+
+    fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn take_default_deny_notes(&mut self) -> bool {
+        let mut noted = false;
+        for shard in self.shards.iter() {
+            noted |= shard.take_default_deny_note();
+        }
+        noted
+    }
+
+    fn flush(&mut self, sim: &mut Sim, ids: &[PolicyId]) {
+        for shard in self.shards.iter() {
+            for &id in ids {
+                shard.flush_policy(sim, id);
+            }
+        }
+    }
+
+    fn install(&mut self, snapshot: &Arc<PolicySnapshot>, recovery: bool) {
+        for shard in self.shards.iter() {
+            shard.install(Arc::clone(snapshot), recovery);
+        }
+    }
+
+    fn bindings(&mut self, shard: usize, batch: Cow<'_, BindingBatch>) {
+        let _fresh = self.shards[shard].apply_binding_batch(&batch);
+    }
+
+    fn switch_step(&mut self, sim: &mut Sim, shard: usize, step: &RepairStepData) {
+        self.shards[shard].switch_step(sim, step);
+    }
+
+    fn announce(&mut self, sim: &mut Sim, topic: &'static str, event: DfiEvent) {
+        self.bus.publish(sim, topic, event);
+    }
+}
+
+/// The assembled, shared-handle DFI proxy: one control front over N
+/// direct data shards (see the module docs).
+#[derive(Clone)]
+pub struct Dfi {
+    front: Rc<RefCell<ControlFront<DirectShards>>>,
+    shards: Rc<[DataShard]>,
+    bus: Bus<DfiEvent>,
+}
+
+impl Dfi {
+    /// The paper's single proxy: one shard, no retention ring. Its Entity
+    /// Resolution Manager is subscribed to the sensor topics on the
+    /// returned handle's bus.
+    #[must_use]
+    pub fn new(config: DfiConfig) -> Dfi {
+        Dfi::build(1, config, 0)
+    }
+
+    /// A proxy with the paper's calibration.
+    #[must_use]
+    pub fn with_defaults() -> Dfi {
+        Dfi::new(DfiConfig::default())
+    }
+
+    /// A fleet proxy: one front over `n_shards` data shards, each with its
+    /// own copy of `config`, keeping the last [`SNAPSHOT_RETENTION`]
+    /// retired snapshots for rollback.
     ///
     /// # Panics
     ///
     /// Panics if `n_shards == 0`.
     #[must_use]
-    pub fn new(n_shards: usize, config: &DfiConfig) -> ShardedDfi {
+    pub fn sharded(n_shards: usize, config: &DfiConfig) -> Dfi {
         assert!(n_shards > 0, "a sharded DFI needs at least one shard");
-        let shards: Vec<Dfi> = (0..n_shards).map(|_| Dfi::new(config.clone())).collect();
-        for shard in &shards {
-            shard.set_snapshot_retention(SNAPSHOT_RETENTION);
-        }
-        let bus = Bus::new(config.bus_latency.clone());
-        let me = ShardedDfi {
-            shards: Rc::new(shards),
-            inner: Rc::new(RefCell::new(FrontInner {
-                pm: PolicyManager::new(),
-                next_epoch: 0,
-                next_binding_epoch: 1,
-                publish_deferred: false,
-                deferred_flushes: Vec::new(),
-                gate: None,
-                metrics: ShardFanoutMetrics::default(),
-            })),
-            bus,
-        };
-        me.subscribe_sensors();
-        me
+        Dfi::build(n_shards, config.clone(), SNAPSHOT_RETENTION)
     }
 
-    /// The front-end's sensor/event bus. Sensors publish here (not on any
-    /// shard's private bus); snapshot publications and refusals are
+    fn build(n_shards: usize, config: DfiConfig, retention: usize) -> Dfi {
+        let bus = Bus::new(config.bus_latency.clone());
+        let mut shards: Vec<DataShard> = (1..n_shards)
+            .map(|_| DataShard::new(config.clone()))
+            .collect();
+        shards.push(DataShard::new(config));
+        let shards: Rc<[DataShard]> = shards.into();
+        let link = DirectShards {
+            shards: Rc::clone(&shards),
+            bus: bus.clone(),
+        };
+        let dfi = Dfi {
+            front: Rc::new(RefCell::new(ControlFront::new(link, retention))),
+            shards,
+            bus,
+        };
+        for t in [topic::LEASES, topic::NAMES, topic::SESSIONS] {
+            let front = Rc::clone(&dfi.front);
+            dfi.bus.subscribe(t, move |_sim, ev| {
+                if let Some(op) = binding_op_of_event(ev) {
+                    let _epoch = front.borrow_mut().apply_binding_ops(vec![op]);
+                }
+            });
+        }
+        dfi
+    }
+
+    /// The sensor/event bus (RabbitMQ surrogate). Sensors publish here;
+    /// snapshot publications, refusals and the gate's findings are
     /// announced here too.
     #[must_use]
     pub fn bus(&self) -> &Bus<DfiEvent> {
         &self.bus
     }
 
-    fn subscribe_sensors(&self) {
-        for t in [topic::LEASES, topic::NAMES, topic::SESSIONS] {
-            let me = self.clone();
-            self.bus.subscribe(t, move |_sim, ev| {
-                if let Some(op) = binding_op_of_event(ev) {
-                    let _epoch = me.apply_binding_ops(vec![op]);
-                }
-            });
-        }
-    }
-
     // ------------------------------------------------------------------
     // Ownership and switch wiring
     // ------------------------------------------------------------------
 
-    /// The worker shards (observation and wiring only — see the module
-    /// docs for what must never be called on a shard).
+    /// The data shards (observation: metrics, table state, ERM queries).
     #[must_use]
-    pub fn shards(&self) -> &[Dfi] {
+    pub fn shards(&self) -> &[DataShard] {
         &self.shards
-    }
-
-    /// Number of worker shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The shard owning `dpid` under the fleet-wide partition.
@@ -198,121 +188,105 @@ impl ShardedDfi {
     }
 
     /// Interposes the owning shard between `switch` and its controller
-    /// (see [`Dfi::interpose`]). Returns the owning shard's index.
+    /// (see [`DataShard::interpose`]).
     pub fn interpose(
         &self,
         sim: &mut Sim,
         switch: &Switch,
         connect_controller: impl FnOnce(&mut Sim, ByteSink) -> ByteSink,
-    ) -> usize {
+    ) {
         let shard = self.shard_of(switch.dpid());
         self.shards[shard].interpose(sim, switch, connect_controller);
-        shard
     }
 
     /// Registers a switch control channel on the owning shard (manual
-    /// wiring, e.g. through fault-injecting sinks). Returns
-    /// `(shard, conn)`; `conn` indexes the *shard's* connections, for use
-    /// with [`Dfi::from_switch_sink`] / [`Dfi::set_controller_sink`] on
-    /// `self.shards()[shard]`.
-    pub fn attach_switch_channel(&self, to_switch: ByteSink, dpid: u64) -> (usize, usize) {
+    /// wiring, e.g. through fault-injecting sinks). Returns the connection
+    /// id the sink constructors below take: `local × shards + shard`,
+    /// which with one shard is the shard's own connection index.
+    pub fn attach_switch_channel(&self, to_switch: ByteSink, dpid: u64) -> usize {
         let shard = self.shard_of(dpid);
-        let conn = self.shards[shard].attach_switch_channel(to_switch, dpid);
-        (shard, conn)
+        let local = self.shards[shard].attach_switch_channel(to_switch, dpid);
+        local * self.shards.len() + shard
+    }
+
+    /// The owning shard and its connection index for connection id `conn`.
+    fn conn(&self, conn: usize) -> (&DataShard, usize) {
+        let n = self.shards.len();
+        (&self.shards[conn % n], conn / n)
+    }
+
+    /// Sets where allowed packet-ins and rewritten switch messages are
+    /// forwarded for a connection.
+    pub fn set_controller_sink(&self, conn: usize, to_controller: ByteSink) {
+        let (shard, local) = self.conn(conn);
+        shard.set_controller_sink(local, to_controller);
+    }
+
+    /// The sink a switch sends its control bytes to (the proxy's
+    /// switch-facing side).
+    #[must_use]
+    pub fn from_switch_sink(&self, conn: usize) -> ByteSink {
+        let (shard, local) = self.conn(conn);
+        shard.from_switch_sink(local)
+    }
+
+    /// The sink the controller sends its bytes to (the proxy's
+    /// controller-facing side).
+    #[must_use]
+    pub fn from_controller_sink(&self, conn: usize) -> ByteSink {
+        let (shard, local) = self.conn(conn);
+        shard.from_controller_sink(local)
+    }
+
+    /// Every shard's tracked installs in flight, as `(dpid, cookie,
+    /// is_delete)` triples (see [`DataShard::in_flight_installs`]).
+    #[must_use]
+    pub fn in_flight_installs(&self) -> Vec<(u64, u64, bool)> {
+        self.shards
+            .iter()
+            .flat_map(DataShard::in_flight_installs)
+            .collect()
     }
 
     // ------------------------------------------------------------------
-    // Binding fanout
+    // Bindings
     // ------------------------------------------------------------------
 
-    /// Stamps `ops` as one batch and fans it to the shards that need it:
-    /// MAC-location ops go only to the shard owning their dpid, everything
-    /// else broadcasts. Returns the batch's epoch stamp.
+    /// Routes a binding batch to the shards (see
+    /// [`ControlFront::apply_binding_batch`]); the bulk-load path for
+    /// fleet-scale harnesses. Returns `false` for a stale stamp.
+    #[must_use]
+    pub fn apply_binding_batch(&self, batch: &BindingBatch) -> bool {
+        self.front.borrow_mut().apply_binding_batch(batch)
+    }
+
+    /// Stamps `ops` as one batch and routes it; returns the stamp (see
+    /// [`ControlFront::apply_binding_ops`]).
     #[must_use]
     pub fn apply_binding_ops(&self, ops: Vec<BindingOp>) -> u64 {
-        let epoch = {
-            let mut inner = self.inner.borrow_mut();
-            let epoch = inner.next_binding_epoch;
-            inner.next_binding_epoch += 1;
-            inner.metrics.binding_batches += 1;
-            epoch
-        };
-        let routed = ops.iter().any(|op| {
-            matches!(
-                op,
-                BindingOp::Bind(Binding::MacLocation { .. })
-                    | BindingOp::Unbind(Binding::MacLocation { .. })
-            )
-        });
-        let mut delivered = 0u64;
-        if routed {
-            // Mixed batch: filter per shard, keeping op order.
-            for (idx, shard) in self.shards.iter().enumerate() {
-                let mine: Vec<BindingOp> = ops
-                    .iter()
-                    .filter(|op| {
-                        let b = match op {
-                            BindingOp::Bind(b) | BindingOp::Unbind(b) => b,
-                        };
-                        match b {
-                            Binding::MacLocation { dpid, .. } => self.shard_of(*dpid) == idx,
-                            _ => true,
-                        }
-                    })
-                    .cloned()
-                    .collect();
-                if !mine.is_empty() {
-                    delivered += mine.len() as u64;
-                    let _fresh = shard.apply_binding_batch(&BindingBatch { epoch, ops: mine });
-                }
-            }
-        } else {
-            // Pure broadcast: build the batch once, deliver by reference.
-            let batch = BindingBatch { epoch, ops };
-            for shard in self.shards.iter() {
-                let _fresh = shard.apply_binding_batch(&batch);
-                delivered += batch.ops.len() as u64;
-            }
-        }
-        self.inner.borrow_mut().metrics.binding_ops_delivered += delivered;
-        epoch
+        self.front.borrow_mut().apply_binding_ops(ops)
+    }
+
+    /// Runs a closure against the first shard's Entity Resolution Manager
+    /// replica — with one shard, the proxy's ERM (tests, harnesses,
+    /// direct-wired sensors). Route bindings every shard must see through
+    /// [`Dfi::apply_binding_ops`].
+    pub fn with_erm<R>(&self, f: impl FnOnce(&mut crate::erm::EntityResolver) -> R) -> R {
+        self.shards[0].with_erm(f)
     }
 
     // ------------------------------------------------------------------
-    // Policy mutations: flush fanout, certify, snapshot fanout
+    // Policy (the front's one copy; see `ControlFront`)
     // ------------------------------------------------------------------
 
-    /// Applies `mutations` as one policy commit fleet-wide: gathers the
-    /// default-deny notes from every shard (when the commit inserts),
-    /// applies the mutations to the front-end Policy Manager, fans the
-    /// union of their cookie flushes to every shard once, then certifies
-    /// and fans out one snapshot. Mirrors [`Dfi::commit_policy`] step for
-    /// step so the sharded system stays decision-equivalent.
+    /// Applies `mutations` as one policy commit (see
+    /// [`ControlFront::commit_policy`]).
     pub fn commit_policy(&self, sim: &mut Sim, mutations: Vec<PolicyMutation>) -> CommitOutcome {
-        // Gather the hot path's default-deny notes from every shard before
-        // the inserts, exactly where the unsharded path forwards its own
-        // note.
-        let mut noted = false;
-        if mutations.iter().any(PolicyMutation::is_insert) {
-            for s in self.shards.iter() {
-                noted |= s.take_default_deny_note();
-            }
-        }
-        let outcome = {
-            let mut inner = self.inner.borrow_mut();
-            if noted {
-                inner.pm.note_default_deny_cached();
-            }
-            inner.pm.commit(mutations)
-        };
-        if outcome.applied > 0 {
-            self.fanout_flushes(sim, &outcome.flush);
-            self.republish(sim, &outcome.flush);
-        }
-        outcome
+        self.front.borrow_mut().commit_policy(sim, mutations)
     }
 
-    /// Inserts a policy rule fleet-wide (a one-mutation commit).
+    /// Inserts a policy rule on behalf of a PDP (see
+    /// [`ControlFront::insert_policy`]).
     pub fn insert_policy(
         &self,
         sim: &mut Sim,
@@ -320,146 +294,70 @@ impl ShardedDfi {
         priority: u32,
         pdp: &str,
     ) -> PolicyId {
-        let outcome = self.commit_policy(sim, vec![PolicyMutation::insert(rule, priority, pdp)]);
-        outcome.inserted[0]
+        self.front
+            .borrow_mut()
+            .insert_policy(sim, rule, priority, pdp)
     }
 
-    /// Revokes a policy rule fleet-wide (a one-mutation commit). Returns
-    /// `false` for unknown ids.
+    /// Revokes a policy rule (see [`ControlFront::revoke_policy`]).
     pub fn revoke_policy(&self, sim: &mut Sim, id: PolicyId) -> bool {
-        let outcome = self.commit_policy(sim, vec![PolicyMutation::Revoke(id)]);
-        outcome.applied > 0
+        self.front.borrow_mut().revoke_policy(sim, id)
     }
 
-    /// One-command rollback to a retained snapshot epoch, fleet-wide: the
-    /// front-end Policy Manager is restored to the retained snapshot's
-    /// rule set, the diff's cookie flushes fan out to every shard, and
-    /// the restored state is re-certified and republished through the
-    /// normal fanout (a one-mutation commit). Returns `false` when
-    /// `epoch` is no longer on the retention ring.
+    /// Re-ranks a policy rule in place (see
+    /// [`ControlFront::re_rank_policy`]).
+    pub fn re_rank_policy(&self, sim: &mut Sim, id: PolicyId, new_priority: u32) -> bool {
+        self.front
+            .borrow_mut()
+            .re_rank_policy(sim, id, new_priority)
+    }
+
+    /// Rolls back to a retained snapshot epoch (see
+    /// [`ControlFront::rollback_snapshot`]).
     pub fn rollback_snapshot(&self, sim: &mut Sim, epoch: u64) -> bool {
-        let Some(target) = self.shards[0]
-            .snapshot_history()
-            .into_iter()
-            .find(|s| s.epoch() == epoch)
-        else {
-            return false;
-        };
-        self.commit_policy(sim, vec![PolicyMutation::Restore(target)]);
-        true
+        self.front.borrow_mut().rollback_snapshot(sim, epoch)
     }
 
-    /// Cache invalidation + switch-side cookie delete for each id, on
-    /// every shard — the sharded equivalent of the unsharded
-    /// invalidate-then-flush sequence. Flushes are deliberately *not*
-    /// gated (they only remove permissions), again mirroring the
-    /// unsharded path.
-    fn fanout_flushes(&self, sim: &mut Sim, ids: &[PolicyId]) {
-        if ids.is_empty() {
-            return;
-        }
-        self.inner.borrow_mut().metrics.flush_fanouts += 1;
-        for shard in self.shards.iter() {
-            for id in ids {
-                shard.invalidate_cached_policy(*id);
-                shard.flush_policy_rules(sim, *id);
-            }
-        }
+    /// Flushes a policy's derived flow rules from every switch (see
+    /// [`ControlFront::flush_policy_rules`]).
+    pub fn flush_policy_rules(&self, sim: &mut Sim, id: PolicyId) {
+        self.front.borrow_mut().flush_policy_rules(sim, id);
     }
 
-    /// Certify → compile once → publish everywhere, once per commit. A
-    /// gate refusal defers the whole commit: no shard is touched, all keep
-    /// serving the prior epoch.
-    /// The first clean publication after a deferral is a recovery: every
-    /// shard bulk-expires stale cache entries and the deferred flushes are
-    /// re-issued fleet-wide.
-    fn republish(&self, sim: &mut Sim, flush_hint: &[PolicyId]) {
-        let gate = self.inner.borrow_mut().gate.take();
-        let witnesses = match gate {
-            Some(mut hook) => {
-                let w = hook(sim, self);
-                self.inner.borrow_mut().gate = Some(hook);
-                w
-            }
-            None => Vec::new(),
-        };
-        if witnesses.is_empty() {
-            let (snap, recovered, event) = {
-                let mut inner = self.inner.borrow_mut();
-                inner.next_epoch += 1;
-                let epoch = inner.next_epoch;
-                let snap = Arc::new(PolicySnapshot::compile(&inner.pm, epoch));
-                let event = DfiEvent::SnapshotPublished {
-                    epoch,
-                    revision: snap.revision(),
-                    rules: snap.rule_count() as u64,
-                };
-                inner.metrics.snapshot_fanouts += 1;
-                let recovered = if inner.publish_deferred {
-                    inner.publish_deferred = false;
-                    Some(std::mem::take(&mut inner.deferred_flushes))
-                } else {
-                    None
-                };
-                (snap, recovered, event)
-            };
-            // The fanout below happens within this one simulation event —
-            // after it, every shard serves `snap`'s epoch.
-            let recovery = recovered.is_some();
-            for shard in self.shards.iter() {
-                shard.install_shared_snapshot(Arc::clone(&snap), recovery);
-            }
-            if let Some(ids) = recovered {
-                self.fanout_flushes(sim, &ids);
-            }
-            self.bus.publish(sim, topic::SNAPSHOTS, event);
-        } else {
-            let event = {
-                let mut inner = self.inner.borrow_mut();
-                inner.publish_deferred = true;
-                inner.deferred_flushes.extend_from_slice(flush_hint);
-                inner.metrics.snapshot_refusals += 1;
-                DfiEvent::SnapshotRefused {
-                    revision: inner.pm.revision(),
-                    witnesses,
-                }
-            };
-            self.bus.publish(sim, topic::SNAPSHOTS, event);
-        }
+    /// Applies a verified repair plan's steps (see
+    /// [`ControlFront::apply_repair_steps`]).
+    pub fn apply_repair_steps(&self, sim: &mut Sim, steps: &[RepairStepData]) {
+        self.front.borrow_mut().apply_repair_steps(sim, steps);
     }
 
-    /// Installs the certification hook consulted before every publication;
-    /// replaces any previous hook.
-    pub fn set_snapshot_gate(&self, gate: ShardSnapshotGate) {
-        self.inner.borrow_mut().gate = Some(gate);
-    }
-
-    /// Runs a closure against the front-end's Policy Manager (the fleet's
-    /// single source of policy truth). Like [`Dfi::with_pm`] this is the
-    /// raw backdoor: if the closure mutated the store, the compiled
-    /// snapshot is re-fanned immediately — bypassing certification,
-    /// flushes, and events. A closure that only reads re-fans nothing.
+    /// Runs a closure against the Policy Manager (see
+    /// [`ControlFront::with_pm`]).
     pub fn with_pm<R>(&self, f: impl FnOnce(&mut PolicyManager) -> R) -> R {
-        let (r, resync) = {
-            let mut inner = self.inner.borrow_mut();
-            let revision = inner.pm.revision();
-            let r = f(&mut inner.pm);
-            if inner.pm.revision() != revision {
-                inner.next_epoch += 1;
-                let epoch = inner.next_epoch;
-                let snap = Arc::new(PolicySnapshot::compile(&inner.pm, epoch));
-                inner.metrics.snapshot_fanouts += 1;
-                (r, Some(snap))
-            } else {
-                (r, None)
-            }
-        };
-        if let Some(snap) = resync {
-            for shard in self.shards.iter() {
-                shard.install_shared_snapshot(Arc::clone(&snap), false);
-            }
-        }
-        r
+        self.front.borrow_mut().with_pm(f)
+    }
+
+    /// Installs the certification gate (see [`SnapshotGate`]).
+    pub fn set_snapshot_gate(&self, gate: SnapshotGate) {
+        self.front.borrow_mut().set_snapshot_gate(gate);
+    }
+
+    /// Sets the retention ring's size (see
+    /// [`ControlFront::set_snapshot_retention`]).
+    pub fn set_snapshot_retention(&self, keep: usize) {
+        self.front.borrow_mut().set_snapshot_retention(keep);
+    }
+
+    /// The retention ring, oldest first.
+    #[must_use]
+    pub fn snapshot_history(&self) -> Vec<Arc<PolicySnapshot>> {
+        self.front.borrow().snapshot_history()
+    }
+
+    /// The currently published policy snapshot — the exact immutable view
+    /// every shard's flow-setup hot path reads.
+    #[must_use]
+    pub fn snapshot(&self) -> Arc<PolicySnapshot> {
+        self.front.borrow().snapshot()
     }
 
     // ------------------------------------------------------------------
@@ -476,36 +374,46 @@ impl ShardedDfi {
     /// `true` iff every shard serves the same snapshot epoch.
     #[must_use]
     pub fn epochs_agree(&self) -> bool {
-        let e = self.served_epochs();
-        e.windows(2).all(|w| w[0] == w[1])
+        self.served_epochs().windows(2).all(|w| w[0] == w[1])
     }
 
-    /// Fleet-aggregate metrics: every shard's [`DfiMetrics`] merged (see
-    /// [`DfiMetrics::merge`] for the aggregation semantics of each field).
+    /// Proxy-wide metrics: every shard's [`DfiMetrics`] merged (see
+    /// [`DfiMetrics::merge`]), plus the front's refusal count and Policy
+    /// Manager index.
     #[must_use]
     pub fn metrics(&self) -> DfiMetrics {
-        let mut m = DfiMetrics::default();
-        for shard in self.shards.iter() {
+        let mut m = self.shards[0].metrics();
+        for shard in &self.shards[1..] {
             m.merge(&shard.metrics());
         }
+        self.front.borrow().fill_metrics(&mut m);
         m
     }
 
-    /// The front-end's own fanout-plane counters.
+    /// The front's own counters.
     #[must_use]
     pub fn fanout_metrics(&self) -> ShardFanoutMetrics {
-        self.inner.borrow().metrics.clone()
+        self.front.borrow().fanout_metrics()
+    }
+}
+
+impl FrontHandle for &Dfi {
+    type Link = DirectShards;
+
+    fn with_front<R>(self, f: impl FnOnce(&mut ControlFront<DirectShards>) -> R) -> R {
+        f(&mut self.front.borrow_mut())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::erm::Binding;
     use crate::policy::EndpointPattern;
 
     #[test]
     fn binding_batches_are_stamped_and_idempotent() {
-        let sharded = ShardedDfi::new(4, &DfiConfig::default());
+        let sharded = Dfi::sharded(4, &DfiConfig::default());
         let op = BindingOp::Bind(Binding::UserHost {
             user: "lee".into(),
             host: "lee-pc".into(),
@@ -533,7 +441,7 @@ mod tests {
 
     #[test]
     fn mac_location_ops_route_to_the_owning_shard_only() {
-        let sharded = ShardedDfi::new(4, &DfiConfig::default());
+        let sharded = Dfi::sharded(4, &DfiConfig::default());
         let dpid = 17;
         let owner = sharded.shard_of(dpid);
         let _epoch = sharded.apply_binding_ops(vec![BindingOp::Bind(Binding::MacLocation {
@@ -550,7 +458,7 @@ mod tests {
     #[test]
     fn snapshot_fanout_is_single_compile_and_atomic() {
         let mut sim = Sim::new(3);
-        let sharded = ShardedDfi::new(3, &DfiConfig::default());
+        let sharded = Dfi::sharded(3, &DfiConfig::default());
         sharded.insert_policy(
             &mut sim,
             PolicyRule::allow(EndpointPattern::any(), EndpointPattern::host("srv")),
@@ -562,7 +470,7 @@ mod tests {
             "epochs: {:?}",
             sharded.served_epochs()
         );
-        let snaps: Vec<_> = sharded.shards().iter().map(Dfi::snapshot).collect();
+        let snaps: Vec<_> = sharded.shards().iter().map(DataShard::snapshot).collect();
         for pair in snaps.windows(2) {
             assert!(
                 Arc::ptr_eq(&pair[0], &pair[1]),

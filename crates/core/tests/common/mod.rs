@@ -12,10 +12,8 @@
 
 use dfi_controller::Controller;
 use dfi_core::events::{topic, DfiEvent};
-use dfi_core::policy::{
-    CommitOutcome, EndpointPattern, PolicyId, PolicyMutation, PolicyRule, Wild,
-};
-use dfi_core::{Dfi, DfiConfig, ShardedDfi};
+use dfi_core::policy::{EndpointPattern, PolicyId, PolicyMutation, PolicyRule, Wild};
+use dfi_core::{Dfi, DfiConfig};
 use dfi_dataplane::{Network, Switch, Tx};
 use dfi_packet::headers::build;
 use dfi_packet::MacAddr;
@@ -368,69 +366,11 @@ impl StepDelta {
     }
 }
 
-/// Either cooperative system under test, behind one replay interface.
-pub enum System {
-    Oracle(Dfi),
-    Sharded(ShardedDfi),
-}
-
-impl System {
-    pub fn publish(&self, sim: &mut Sim, topic: &str, ev: DfiEvent) {
-        match self {
-            System::Oracle(d) => d.bus().publish(sim, topic, ev),
-            System::Sharded(s) => s.bus().publish(sim, topic, ev),
-        }
-    }
-
-    pub fn insert(&self, sim: &mut Sim, rule: PolicyRule, priority: u32) -> PolicyId {
-        match self {
-            System::Oracle(d) => d.insert_policy(sim, rule, priority, "oracle-trace"),
-            System::Sharded(s) => s.insert_policy(sim, rule, priority, "oracle-trace"),
-        }
-    }
-
-    pub fn revoke(&self, sim: &mut Sim, id: PolicyId) -> bool {
-        match self {
-            System::Oracle(d) => d.revoke_policy(sim, id),
-            System::Sharded(s) => s.revoke_policy(sim, id),
-        }
-    }
-
-    pub fn commit(&self, sim: &mut Sim, mutations: Vec<PolicyMutation>) -> CommitOutcome {
-        match self {
-            System::Oracle(d) => d.commit_policy(sim, mutations),
-            System::Sharded(s) => s.commit_policy(sim, mutations),
-        }
-    }
-
-    /// The served snapshot epoch of every shard (the oracle's one).
-    pub fn served_epochs(&self) -> Vec<u64> {
-        match self {
-            System::Oracle(d) => vec![d.snapshot().epoch()],
-            System::Sharded(s) => s.served_epochs(),
-        }
-    }
-
-    pub fn metrics(&self) -> dfi_core::DfiMetrics {
-        match self {
-            System::Oracle(d) => d.metrics(),
-            System::Sharded(s) => s.metrics(),
-        }
-    }
-
-    pub fn snapshot_swaps(&self) -> u64 {
-        match self {
-            System::Oracle(d) => d.metrics().snapshots_published,
-            System::Sharded(s) => s.fanout_metrics().snapshot_fanouts,
-        }
-    }
-}
-
-/// The cooperative single-thread replay world (the oracle, or the
-/// cooperative `ShardedDfi` at a given shard count).
+/// The cooperative single-thread replay world (the single-shard oracle,
+/// or the cooperative proxy at a given shard count).
 pub struct World {
     pub sim: Sim,
-    pub system: System,
+    pub dfi: Dfi,
     pub switches: Vec<Switch>,
     pub tx: Vec<Tx>,
     pub rx: Vec<Rc<RefCell<u64>>>,
@@ -556,29 +496,19 @@ pub fn build_world(seed: u64, shards: Option<usize>) -> World {
         rx.push(count);
     }
     let ctrl = Controller::reactive();
-    let system = match shards {
-        None => {
-            let dfi = Dfi::new(test_config());
-            for sw in &switches {
-                let c = ctrl.clone();
-                dfi.interpose(&mut sim, sw, move |sim, sink| c.connect(sim, sink));
-            }
-            System::Oracle(dfi)
-        }
-        Some(n) => {
-            let sharded = ShardedDfi::new(n, &test_config());
-            for sw in &switches {
-                let c = ctrl.clone();
-                sharded.interpose(&mut sim, sw, move |sim, sink| c.connect(sim, sink));
-            }
-            System::Sharded(sharded)
-        }
+    let dfi = match shards {
+        None => Dfi::new(test_config()),
+        Some(n) => Dfi::sharded(n, &test_config()),
     };
+    for sw in &switches {
+        let c = ctrl.clone();
+        dfi.interpose(&mut sim, sw, move |sim, sink| c.connect(sim, sink));
+    }
     // Boot: lease + name + session for every host, through the bus like
     // the real sensors.
     for h in &topo.hosts {
         for (t, ev) in boot_events(h) {
-            system.publish(&mut sim, t, ev);
+            dfi.bus().publish(&mut sim, t, ev);
         }
     }
     sim.run();
@@ -586,7 +516,7 @@ pub fn build_world(seed: u64, shards: Option<usize>) -> World {
     let logged_on = vec![true; topo.hosts.len()];
     World {
         sim,
-        system,
+        dfi,
         switches,
         tx,
         rx,
@@ -608,18 +538,20 @@ impl World {
             }
             Step::Insert(spec) => {
                 let rule = insert_rule(topo, &self.host_ip, spec);
-                let id = self.system.insert(&mut self.sim, rule, spec.priority);
+                let id = self
+                    .dfi
+                    .insert_policy(&mut self.sim, rule, spec.priority, "oracle-trace");
                 self.live.inserted.push(id);
             }
             Step::Revoke { k } => {
                 if !self.live.inserted.is_empty() {
                     let id = self.live.inserted.remove(k % self.live.inserted.len());
-                    self.system.revoke(&mut self.sim, id);
+                    self.dfi.revoke_policy(&mut self.sim, id);
                 }
             }
             Step::Commit { .. } | Step::RevokeCommit { .. } => {
                 let muts = self.live.mutations(topo, &self.host_ip, step);
-                let outcome = self.system.commit(&mut self.sim, muts);
+                let outcome = self.dfi.commit_policy(&mut self.sim, muts);
                 self.live.record(outcome.inserted);
             }
             Step::Move { host } => {
@@ -629,14 +561,14 @@ impl World {
                 self.next_fresh += 1;
                 self.host_ip[*host] = new;
                 for (t, ev) in move_events(h, old, new) {
-                    self.system.publish(&mut self.sim, t, ev);
+                    self.dfi.bus().publish(&mut self.sim, t, ev);
                 }
             }
             Step::Toggle { host } => {
                 let h = &topo.hosts[*host];
                 let on = !self.logged_on[*host];
                 self.logged_on[*host] = on;
-                self.system.publish(
+                self.dfi.bus().publish(
                     &mut self.sim,
                     topic::SESSIONS,
                     DfiEvent::Session {
@@ -649,14 +581,15 @@ impl World {
         }
         self.sim.run();
         let deliveries: Vec<u64> = self.rx.iter().map(|c| *c.borrow()).collect();
-        let now = StepDelta::cumulative(
-            &self.system.metrics(),
-            deliveries,
-            &self.system.served_epochs(),
-        );
+        let now = StepDelta::cumulative(&self.dfi.metrics(), deliveries, &self.dfi.served_epochs());
         let delta = StepDelta::since(&now, &self.last);
         self.last = now;
         delta
+    }
+
+    /// Snapshots published so far (one per swap, in every mode).
+    pub fn snapshot_swaps(&self) -> u64 {
+        self.dfi.fanout_metrics().snapshot_fanouts
     }
 
     /// Per-dpid sorted Table-0 cookie sets.

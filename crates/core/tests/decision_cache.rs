@@ -4,7 +4,7 @@
 
 use dfi_core::events::{topic, DfiEvent, SnapshotWitness};
 use dfi_core::policy::{EndpointPattern, PolicyRule};
-use dfi_core::{Dfi, DfiConfig};
+use dfi_core::{Dfi, DfiConfig, GateVerdict};
 use dfi_dataplane::{Network, Switch, SwitchConfig, Tx};
 use dfi_packet::headers::build;
 use dfi_packet::MacAddr;
@@ -253,8 +253,8 @@ fn stale_allow_is_not_served_after_a_deny_snapshot_publishes() {
     // Install a certification gate that refuses while `refuse` is set.
     let refuse = Rc::new(RefCell::new(false));
     let flag = Rc::clone(&refuse);
-    r.dfi.set_snapshot_gate(Box::new(move |_sim, _dfi| {
-        if *flag.borrow() {
+    r.dfi.set_snapshot_gate(Box::new(move |_pm| GateVerdict {
+        witnesses: if *flag.borrow() {
             vec![SnapshotWitness {
                 kind: "allow-deny-conflict".into(),
                 rules: Vec::new(),
@@ -262,7 +262,8 @@ fn stale_allow_is_not_served_after_a_deny_snapshot_publishes() {
             }]
         } else {
             Vec::new()
-        }
+        },
+        findings: Vec::new(),
     }));
 
     // A blanket Deny arrives but its snapshot is refused: the Policy

@@ -14,7 +14,8 @@ use dfi_core::events::SnapshotWitness;
 use dfi_core::policy::{EndpointPattern, PolicyId, PolicyRule};
 use dfi_core::shard::SNAPSHOT_RETENTION;
 use dfi_core::{
-    CookieSets, Dfi, DfiConfig, HostDeliveries, ParallelShardedDfi, ShardedDfi, WorkerWorld,
+    CookieSets, DataShard, Dfi, DfiConfig, GateVerdict, HostDeliveries, ParallelShardedDfi,
+    WorkerWorld,
 };
 use dfi_simnet::Sim;
 use std::cell::Cell;
@@ -46,8 +47,8 @@ fn unsharded_rollback_after_refusal_restores_last_good_epoch() {
     let refusing = Rc::new(Cell::new(false));
     {
         let refusing = refusing.clone();
-        dfi.set_snapshot_gate(Box::new(move |_, _| {
-            if refusing.get() {
+        dfi.set_snapshot_gate(Box::new(move |_| GateVerdict {
+            witnesses: if refusing.get() {
                 vec![SnapshotWitness {
                     kind: "test-refusal".into(),
                     rules: vec![],
@@ -55,7 +56,8 @@ fn unsharded_rollback_after_refusal_restores_last_good_epoch() {
                 }]
             } else {
                 Vec::new()
-            }
+            },
+            findings: Vec::new(),
         }));
     }
 
@@ -108,13 +110,13 @@ fn unsharded_rollback_after_refusal_restores_last_good_epoch() {
 #[test]
 fn sharded_rollback_restores_the_whole_fleet_at_once() {
     let mut sim = Sim::new(SEED ^ 1);
-    let sharded = ShardedDfi::new(4, &DfiConfig::default());
+    let sharded = Dfi::sharded(4, &DfiConfig::default());
 
     let refusing = Rc::new(Cell::new(false));
     {
         let refusing = refusing.clone();
-        sharded.set_snapshot_gate(Box::new(move |_, _| {
-            if refusing.get() {
+        sharded.set_snapshot_gate(Box::new(move |_| GateVerdict {
+            witnesses: if refusing.get() {
                 vec![SnapshotWitness {
                     kind: "test-refusal".into(),
                     rules: vec![],
@@ -122,7 +124,8 @@ fn sharded_rollback_restores_the_whole_fleet_at_once() {
                 }]
             } else {
                 Vec::new()
-            }
+            },
+            findings: Vec::new(),
         }));
     }
 
@@ -163,11 +166,13 @@ fn sharded_rollback_restores_the_whole_fleet_at_once() {
 fn empty_builders(n: usize) -> Vec<dfi_core::WorldBuilder> {
     (0..n)
         .map(|_| {
-            Box::new(|_: &mut Sim, _: &Dfi, _: &dfi_core::Outbox| WorkerWorld {
-                taps: Vec::new(),
-                boundaries: Vec::new(),
-                observe: Box::new(|_| (HostDeliveries::new(), CookieSets::new())),
-            }) as dfi_core::WorldBuilder
+            Box::new(
+                |_: &mut Sim, _: &DataShard, _: &dfi_core::Outbox| WorkerWorld {
+                    taps: Vec::new(),
+                    boundaries: Vec::new(),
+                    observe: Box::new(|_| (HostDeliveries::new(), CookieSets::new())),
+                },
+            ) as dfi_core::WorldBuilder
         })
         .collect()
 }
@@ -197,8 +202,8 @@ fn threaded_rollback_crosses_the_epoch_barrier() {
     let refusing = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
     {
         let refusing = refusing.clone();
-        par.set_snapshot_gate(Box::new(move |_| {
-            if refusing.load(std::sync::atomic::Ordering::Relaxed) {
+        par.set_snapshot_gate(Box::new(move |_| GateVerdict {
+            witnesses: if refusing.load(std::sync::atomic::Ordering::Relaxed) {
                 vec![SnapshotWitness {
                     kind: "test-refusal".into(),
                     rules: vec![],
@@ -206,7 +211,8 @@ fn threaded_rollback_crosses_the_epoch_barrier() {
                 }]
             } else {
                 Vec::new()
-            }
+            },
+            findings: Vec::new(),
         }));
     }
     par.insert_policy(rule(3), 10, "rollback-test");
@@ -238,5 +244,5 @@ fn threaded_rollback_crosses_the_epoch_barrier() {
     );
 
     assert!(!par.rollback_snapshot(10_000), "expired epochs are refused");
-    par.shutdown();
+    par.shutdown().expect("no shard worker panicked");
 }

@@ -3,8 +3,8 @@
 //!
 //! One seeded trace — flows, policy inserts/revokes (each a live snapshot
 //! swap), DHCP moves, session toggles — replays through the unsharded
-//! [`dfi_core::Dfi`] and through [`dfi_core::ShardedDfi`] at 1, 2, 4 and 8
-//! shards, over the same generated leaf-spine fabric with a reactive
+//! [`dfi_core::Dfi`] and through [`dfi_core::Dfi::sharded`] at 1, 2, 4
+//! and 8 shards, over the same generated leaf-spine fabric with a reactive
 //! learning controller. After every step (run to quiescence) the decision
 //! deltas must be identical: allowed/denied/spoof counts, per-policy
 //! attribution, per-host deliveries, and the served snapshot epoch. A
@@ -24,7 +24,7 @@
 
 mod common;
 
-use common::{build_world, commit_trace, env_u64, fabric, trace, Step, StepDelta, System};
+use common::{build_world, commit_trace, env_u64, fabric, trace, Step, StepDelta};
 
 #[test]
 fn sharded_matches_unsharded_oracle_across_swaps_and_moves() {
@@ -76,7 +76,7 @@ fn replay_against_oracle(seed: u64, steps: usize, script: &[Step]) {
     let mut oracle = build_world(seed, None);
     let expected: Vec<StepDelta> = script.iter().map(|s| oracle.apply(&topo, s)).collect();
     let oracle_cookies = oracle.cookie_sets();
-    let swaps = oracle.system.snapshot_swaps();
+    let swaps = oracle.snapshot_swaps();
     assert!(
         swaps >= 100,
         "trace must cross at least 100 live snapshot swaps, got {swaps}; \
@@ -112,19 +112,17 @@ fn replay_against_oracle(seed: u64, steps: usize, script: &[Step]) {
             "Table-0 cookie sets diverged; repro: SHARDED_ORACLE_SEED={seed} \
              SHARDED_ORACLE_STEPS={steps} shards={shards}"
         );
-        if let System::Sharded(s) = &world.system {
-            assert!(
-                s.epochs_agree(),
-                "shards serve different epochs {:?}; repro: SHARDED_ORACLE_SEED={seed} \
-                 SHARDED_ORACLE_STEPS={steps} shards={shards}",
-                s.served_epochs()
-            );
-            assert_eq!(
-                world.system.snapshot_swaps(),
-                swaps,
-                "swap count diverged; repro: SHARDED_ORACLE_SEED={seed} \
-                 SHARDED_ORACLE_STEPS={steps} shards={shards}"
-            );
-        }
+        assert!(
+            world.dfi.epochs_agree(),
+            "shards serve different epochs {:?}; repro: SHARDED_ORACLE_SEED={seed} \
+             SHARDED_ORACLE_STEPS={steps} shards={shards}",
+            world.dfi.served_epochs()
+        );
+        assert_eq!(
+            world.snapshot_swaps(),
+            swaps,
+            "swap count diverged; repro: SHARDED_ORACLE_SEED={seed} \
+             SHARDED_ORACLE_STEPS={steps} shards={shards}"
+        );
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The same seeded 360-step trace `sharded_oracle.rs` replays through the
 //! cooperative shards replays here through [`ParallelShardedDfi`] at 1, 2,
-//! 4 and 8 **worker threads**, each owning a complete `Dfi` plus its slice
+//! 4 and 8 **worker threads**, each owning a `DataShard` plus its slice
 //! of the leaf-spine fabric and its own controller replica on its own OS
 //! thread with its own deterministic clock. Fabric links whose two ends
 //! land on different shards are cut at the boundary and carried as relay
@@ -50,7 +50,7 @@ fn boundary_id(li: usize, side: u64) -> u64 {
 
 /// Builds worker `w`'s thread-local world: its shard's switches, the local
 /// halves of cut fabric links wired to the outbox, its hosts' NICs, and a
-/// reactive controller replica behind the shard's own `Dfi`.
+/// reactive controller replica behind the worker's `DataShard`.
 fn builder_for(topo: Arc<Topology>, w: usize, n: usize) -> WorldBuilder {
     Box::new(move |sim, dfi, outbox| {
         let mut net = Network::new();
@@ -298,7 +298,7 @@ fn replay_against_oracle(seed: u64, steps: usize, script: &[Step]) {
     let mut oracle = build_world(seed, None);
     let expected: Vec<StepDelta> = script.iter().map(|s| oracle.apply(&topo, s)).collect();
     let oracle_cookies = oracle.cookie_sets();
-    let swaps = oracle.system.snapshot_swaps();
+    let swaps = oracle.snapshot_swaps();
     assert!(
         swaps >= 100,
         "trace must cross at least 100 live snapshot swaps, got {swaps}; \
@@ -333,6 +333,6 @@ fn replay_against_oracle(seed: u64, steps: usize, script: &[Step]) {
             "swap count diverged; repro: SHARDED_ORACLE_SEED={seed} \
              SHARDED_ORACLE_STEPS={steps} threads={threads}"
         );
-        world.fleet.shutdown();
+        world.fleet.shutdown().expect("no shard worker panicked");
     }
 }

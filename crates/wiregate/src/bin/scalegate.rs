@@ -66,8 +66,7 @@ use std::time::{Duration, Instant};
 use dfi_core::erm::Binding;
 use dfi_core::policy::{EndpointPattern, PolicyRule};
 use dfi_core::{
-    BindingBatch, BindingOp, Dfi, DfiConfig, DfiMetrics, ObserveFn, ParallelShardedDfi, ShardedDfi,
-    WorkerWorld, WorldBuilder,
+    BindingOp, Dfi, DfiConfig, DfiMetrics, ObserveFn, ParallelShardedDfi, WorkerWorld, WorldBuilder,
 };
 use dfi_dataplane::{ByteSink, Network, Switch, SwitchConfig, Tx};
 use dfi_packet::headers::build;
@@ -135,14 +134,10 @@ fn acl_rules(topo: &Topology, pool: &[usize], n_rules: usize) -> Vec<(PolicyRule
         .collect()
 }
 
-enum Sut {
-    Oracle(Dfi),
-    Sharded(ShardedDfi),
-}
-
 struct Config {
     sim: Sim,
-    sut: Sut,
+    /// The single-shard oracle or a sharded configuration.
+    dfi: Dfi,
     /// Keeps the switch fabric alive.
     _net: Network,
     /// Injection handles for the probe/offer pool, pool order.
@@ -151,10 +146,7 @@ struct Config {
 
 impl Config {
     fn decided(&self) -> (u64, u64, u64) {
-        let m = match &self.sut {
-            Sut::Oracle(d) => d.metrics(),
-            Sut::Sharded(s) => s.metrics(),
-        };
+        let m = self.dfi.metrics();
         (m.allowed, m.denied, m.spoof_denied)
     }
 }
@@ -164,24 +156,14 @@ fn build(topo: &Topology, pool: &[usize], seed: u64, shards: Option<usize>) -> C
     let mut net = Network::new();
     let switches = net.build_topology(topo, Duration::from_micros(50));
     let null: ByteSink = Rc::new(|_, _| {});
-    let sut = match shards {
-        None => {
-            let dfi = Dfi::new(DfiConfig::default());
-            for sw in &switches {
-                let n = null.clone();
-                dfi.interpose(&mut sim, sw, move |_, _| n);
-            }
-            Sut::Oracle(dfi)
-        }
-        Some(n_shards) => {
-            let sharded = ShardedDfi::new(n_shards, &DfiConfig::default());
-            for sw in &switches {
-                let n = null.clone();
-                sharded.interpose(&mut sim, sw, move |_, _| n);
-            }
-            Sut::Sharded(sharded)
-        }
+    let dfi = match shards {
+        None => Dfi::new(DfiConfig::default()),
+        Some(n_shards) => Dfi::sharded(n_shards, &DfiConfig::default()),
     };
+    for sw in &switches {
+        let n = null.clone();
+        dfi.interpose(&mut sim, sw, move |_, _| n);
+    }
     let tx = pool
         .iter()
         .map(|&i| {
@@ -194,29 +176,14 @@ fn build(topo: &Topology, pool: &[usize], seed: u64, shards: Option<usize>) -> C
         })
         .collect();
     // Bindings through the batch path, policy through the front-end.
-    let ops = binding_ops(topo);
-    match &sut {
-        Sut::Oracle(d) => {
-            let _fresh = d.apply_binding_batch(&BindingBatch { epoch: 0, ops });
-        }
-        Sut::Sharded(s) => {
-            let _epoch = s.apply_binding_ops(ops);
-        }
-    }
+    let _epoch = dfi.apply_binding_ops(binding_ops(topo));
     for (rule, priority) in acl_rules(topo, pool, 512) {
-        match &sut {
-            Sut::Oracle(d) => {
-                d.insert_policy(&mut sim, rule, priority, "scalegate");
-            }
-            Sut::Sharded(s) => {
-                s.insert_policy(&mut sim, rule, priority, "scalegate");
-            }
-        }
+        dfi.insert_policy(&mut sim, rule, priority, "scalegate");
     }
     sim.run();
     Config {
         sim,
-        sut,
+        dfi,
         _net: net,
         tx,
     }
@@ -367,10 +334,7 @@ fn run_timed(
     peak_rate: f64,
     seed: u64,
 ) -> Timing {
-    let sharded = match &cfg.sut {
-        Sut::Sharded(s) => s.clone(),
-        Sut::Oracle(_) => unreachable!("only sharded configurations are timed"),
-    };
+    let sharded = cfg.dfi.clone();
     let base: Vec<usize> = sharded
         .shards()
         .iter()
@@ -657,10 +621,7 @@ fn run_sweep(
     flows: usize,
     seed: u64,
 ) -> Vec<SweepPoint> {
-    let sharded = match &cfg.sut {
-        Sut::Sharded(s) => s.clone(),
-        Sut::Oracle(_) => unreachable!("only sharded configurations sweep"),
-    };
+    let sharded = cfg.dfi.clone();
     let mut sport = 20_000u16;
     let mut out = Vec::with_capacity(rates.len());
     for (ri, &rate) in rates.iter().enumerate() {
@@ -802,10 +763,7 @@ fn main() -> ExitCode {
     eprintln!("oracle: loading {bindings} bindings...");
     let mut oracle = build(&topo, &pool, seed, None);
     let want = probe_trace(&mut oracle, &topo, &pool, probes);
-    let oracle_by_policy = match &oracle.sut {
-        Sut::Oracle(d) => d.metrics().decisions_by_policy,
-        Sut::Sharded(_) => unreachable!(),
-    };
+    let oracle_by_policy = oracle.dfi.metrics().decisions_by_policy;
     drop(oracle);
 
     let mut equivalent = true;
@@ -824,18 +782,16 @@ fn main() -> ExitCode {
                 equivalent = false;
             }
         }
-        if let Sut::Sharded(s) = &cfg.sut {
-            if s.metrics().decisions_by_policy != oracle_by_policy {
-                eprintln!(
-                    "EQUIVALENCE FAIL shards={n}: per-policy attribution diverged \
-                     (repro: SCALE_SEED={seed} SCALE_PROBES={probes})"
-                );
-                equivalent = false;
-            }
-            if !s.epochs_agree() {
-                eprintln!("EQUIVALENCE FAIL shards={n}: shards serve different epochs");
-                equivalent = false;
-            }
+        if cfg.dfi.metrics().decisions_by_policy != oracle_by_policy {
+            eprintln!(
+                "EQUIVALENCE FAIL shards={n}: per-policy attribution diverged \
+                 (repro: SCALE_SEED={seed} SCALE_PROBES={probes})"
+            );
+            equivalent = false;
+        }
+        if !cfg.dfi.epochs_agree() {
+            eprintln!("EQUIVALENCE FAIL shards={n}: shards serve different epochs");
+            equivalent = false;
         }
         if !equivalent {
             break;
@@ -878,11 +834,11 @@ fn main() -> ExitCode {
                 equivalent = false;
             }
             if !equivalent {
-                pf.fleet.shutdown();
+                pf.fleet.shutdown().expect("no shard worker panicked");
                 break;
             }
             let t = run_wall(&mut pf, &topo, &pool, offered, peak_rate, seed);
-            pf.fleet.shutdown();
+            pf.fleet.shutdown().expect("no shard worker panicked");
             wall_results.push((n, t));
         }
     }

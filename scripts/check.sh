@@ -2,6 +2,8 @@
 # Repo-wide gate: formatting, lints, tests, and bench compilation.
 # Everything runs offline against the vendored dev-dependency stubs.
 #
+# Every BENCH_*.json below is rewritten only by a gate that passed.
+#
 # Usage:
 #   scripts/check.sh          full gate: fmt, clippy, workspace tests, the
 #                             perfbench package build, a per-crate test
@@ -62,6 +64,26 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Runs a gate that prints its result as JSON, shows that output, and
+# moves it over the committed BENCH_*.json file ($1) only when the gate
+# exits 0: a failing gate must never overwrite a committed result.
+record_gate() {
+  local out="$1"
+  shift
+  local tmp
+  tmp=$(mktemp)
+  if "$@" >"$tmp"; then
+    cat "$tmp"
+    chmod 0644 "$tmp"
+    mv "$tmp" "$out"
+  else
+    local status=$?
+    cat "$tmp"
+    rm -f "$tmp"
+    return "$status"
+  fi
+}
+
 FAST=0
 ANALYZE_ONLY=0
 WIRE_ONLY=0
@@ -89,7 +111,7 @@ run_wire() {
     cargo test -q -p dfi-core --test splice_oracle
   echo "== dfi-wiregate: allocation budget + >=2x speedup gate =="
   cargo build -q --release -p dfi-wiregate
-  ./target/release/dfi-wiregate --gate 2 | tee BENCH_wire.json
+  record_gate BENCH_wire.json ./target/release/dfi-wiregate --gate 2
 }
 
 if [[ "$WIRE_ONLY" == 1 ]]; then
@@ -103,7 +125,7 @@ run_decide() {
   cargo test -q -p dfi-core --test proptest_policy snapshot
   echo "== dfi-decidegate: >=10x compiled-classifier speedup + zero-alloc gate =="
   cargo build -q --release -p dfi-wiregate
-  ./target/release/dfi-decidegate --gate 10 | tee BENCH_decide.json
+  record_gate BENCH_decide.json ./target/release/dfi-decidegate --gate 10
 }
 
 if [[ "$DECIDE_ONLY" == 1 ]]; then
@@ -123,8 +145,8 @@ run_scale() {
   run_scale_tests
   echo "== dfi-scalegate: 1000-switch / ~1M-binding fleet, equivalence then >=2x scaling gate =="
   cargo build -q --release -p dfi-wiregate
-  SCALE_ITERS="${SCALE_ITERS:-12000}" \
-    ./target/release/dfi-scalegate --gate 2 | tee BENCH_scale.json
+  record_gate BENCH_scale.json env SCALE_ITERS="${SCALE_ITERS:-12000}" \
+    ./target/release/dfi-scalegate --gate 2
 }
 
 if [[ "$SCALE_ONLY" == 1 ]]; then
@@ -144,8 +166,8 @@ run_par() {
   run_par_tests
   echo "== dfi-scalegate --sweep --wall: Fig-4 curves + parallel wall gates =="
   cargo build -q --release -p dfi-wiregate
-  SCALE_ITERS="${SCALE_ITERS:-12000}" \
-    ./target/release/dfi-scalegate --gate 2 --sweep --wall | tee BENCH_scale.json
+  record_gate BENCH_scale.json env SCALE_ITERS="${SCALE_ITERS:-12000}" \
+    ./target/release/dfi-scalegate --gate 2 --sweep --wall
 }
 
 if [[ "$PAR_ONLY" == 1 ]]; then
@@ -164,8 +186,8 @@ run_reach() {
   echo "== dfi-analyze: clean fabric proves clean =="
   ./target/release/dfi-analyze reach --spines 2 --leaves 8 --hosts 150 --flows 70 --seed 7
   echo "== dfi-analyze: 1000-switch incremental recheck, equivalence then >=100x gate =="
-  ./target/release/dfi-analyze reach --spines 40 --leaves 960 --hosts 600 --flows 250 \
-    --seed 7 --bench 40 --gate 100 --json | tee BENCH_reach.json
+  record_gate BENCH_reach.json ./target/release/dfi-analyze reach --spines 40 --leaves 960 \
+    --hosts 600 --flows 250 --seed 7 --bench 40 --gate 100 --json
 }
 
 if [[ "$REACH_ONLY" == 1 ]]; then
@@ -187,8 +209,8 @@ run_repair() {
   ./target/release/dfi-analyze repair --corpus network --seed 7 --expect-repaired --apply
   ./target/release/dfi-analyze repair --corpus reach --seed 7 --expect-repaired --apply
   echo "== dfi-analyze repair: timed 1000-switch leaf-spine bench =="
-  ./target/release/dfi-analyze repair --corpus reach --spines 8 --leaves 992 \
-    --hosts 150 --flows 60 --seed 7 --bench --json | tee BENCH_repair.json
+  record_gate BENCH_repair.json ./target/release/dfi-analyze repair --corpus reach --spines 8 \
+    --leaves 992 --hosts 150 --flows 60 --seed 7 --bench --json
 }
 
 if [[ "$REPAIR_ONLY" == 1 ]]; then
@@ -205,8 +227,8 @@ run_analyze() {
   ./target/release/dfi-analyze audit-network --switches 14 --flows 400 --seed 7 \
     --defects --expect-seeded
   echo "== dfi-analyze: incremental equivalence + >=10x speedup gate =="
-  ./target/release/dfi-analyze watch --rules 10000 --seed 7 --mutations 60 \
-    --gate 10 --json | tee BENCH_analyze.json
+  record_gate BENCH_analyze.json ./target/release/dfi-analyze watch --rules 10000 --seed 7 \
+    --mutations 60 --gate 10 --json
   echo "== dfi-analyze: live table-0 audit demo =="
   ./target/release/dfi-analyze demo
 }

@@ -2,7 +2,7 @@
 //! (`binding_expiry_beats_fault_delayed_packet_in` in
 //! `fault_injection.rs`) replayed across a shard boundary.
 //!
-//! Two switches land on *different* shards of a 2-way [`ShardedDfi`]. A
+//! Two switches land on *different* shards of a 2-way [`Dfi::sharded`]. A
 //! flow on shard B is decided Allow but its install is lost; a re-punt of
 //! the same flow is already in flight, delayed by the faulty channel, when
 //! the user's session expires — the log-off and the policy revocation both
@@ -15,7 +15,7 @@
 use dfi_repro::controller::Controller;
 use dfi_repro::core::events::{topic, DfiEvent};
 use dfi_repro::core::policy::{EndpointPattern, PolicyRule, DEFAULT_DENY_ID};
-use dfi_repro::core::{DfiConfig, ShardedDfi};
+use dfi_repro::core::{Dfi, DfiConfig};
 use dfi_repro::dataplane::{faulty_sink, Network, SwitchConfig};
 use dfi_repro::packet::headers::build;
 use dfi_repro::packet::MacAddr;
@@ -63,7 +63,7 @@ fn cross_shard_binding_expiry_beats_fault_delayed_packet_in() {
     let line = format!("repro: seed={SEED} shards=2 up='{up}' down='{down}'");
 
     let mut sim = Sim::new(SEED);
-    let sharded = ShardedDfi::new(2, &DfiConfig::default());
+    let sharded = Dfi::sharded(2, &DfiConfig::default());
 
     // Two dpids owned by different shards — found, not hardcoded, so the
     // test keeps its meaning if the partition function ever changes.
@@ -97,12 +97,11 @@ fn cross_shard_binding_expiry_beats_fault_delayed_packet_in() {
         Rc::new(move |_sim: &mut Sim, frame: &[u8]| log.borrow_mut().push(frame.to_vec())),
     );
     let (to_switch, _down_handle) = faulty_sink(down, sw_b.control_ingress());
-    let (shard_b, conn) = sharded.attach_switch_channel(to_switch, sw_b.dpid());
-    let shard = &sharded.shards()[shard_b];
-    let (to_dfi, _up_handle) = faulty_sink(up, shard.from_switch_sink(conn));
+    let conn = sharded.attach_switch_channel(to_switch, sw_b.dpid());
+    let (to_dfi, _up_handle) = faulty_sink(up, sharded.from_switch_sink(conn));
     sw_b.connect_control(&mut sim, to_dfi);
-    let to_controller = ctrl.connect(&mut sim, shard.from_controller_sink(conn));
-    shard.set_controller_sink(conn, to_controller);
+    let to_controller = ctrl.connect(&mut sim, sharded.from_controller_sink(conn));
+    sharded.set_controller_sink(conn, to_controller);
     sim.run();
 
     // Bindings enter through the front-end bus, reaching both shards.

@@ -255,5 +255,5 @@ fn threaded_binding_expiry_beats_fault_delayed_packet_in() {
         "workers must agree on the served epoch {:?}: {line}",
         report.served_epochs
     );
-    fleet.shutdown();
+    fleet.shutdown().expect("no shard worker panicked");
 }
