@@ -36,7 +36,7 @@ struct Rig {
 }
 
 /// One switch, three hosts (ports 1..=3), DFI interposed before a
-/// reactive controller — the decision-cache rig.
+/// reactive controller — the rig of the root `decision_freshness` tests.
 fn rig() -> Rig {
     let mut sim = Sim::new(7);
     let mut net = Network::new();

@@ -29,13 +29,9 @@ fn host_name(i: usize) -> String {
 /// Resolve-at-insert: the rule "alice may reach the server" compiled once,
 /// against the binding state at insert time, into an IP-level rule.
 fn compile_at_insert(resolver: &EntityResolver, server_ip: Ipv4Addr) -> Option<PolicyRule> {
-    let hosts = resolver.hosts_of_user("alice");
-    let host = hosts.first()?; // cannot compile if alice is logged off!
-    let ips: Vec<Ipv4Addr> = (0..HOSTS)
-        .filter(|&i| host_name(i) == *host)
-        .map(host_ip)
-        .collect();
-    let ip = *ips.first()?;
+    // Cannot compile if alice is logged off!
+    let host = (0..HOSTS).find(|&i| resolver.users_of_host_ref(&host_name(i)).contains("alice"))?;
+    let ip = host_ip(host);
     Some(PolicyRule {
         action: PolicyAction::Allow,
         flow: Default::default(),
@@ -145,8 +141,8 @@ fn main() {
                 ..Default::default()
             },
         };
-        let dfi_allow = pm_decision.query(&flow).action == PolicyAction::Allow;
-        let insert_allow = pm_insert.query(&flow).action == PolicyAction::Allow;
+        let dfi_allow = pm_decision.query_linear(&flow).action == PolicyAction::Allow;
+        let insert_allow = pm_insert.query_linear(&flow).action == PolicyAction::Allow;
         if dfi_allow != truth_allow {
             wrong_decision_dfi += 1;
         }

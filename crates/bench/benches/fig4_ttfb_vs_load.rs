@@ -52,16 +52,8 @@ fn main() {
                 r.failed_probes
             );
             println!(
-                "    (cache hit/miss/inval={}/{}/{} candidates/query={:.1} erm ips={})",
-                m.decision_cache_hits,
-                m.decision_cache_misses,
-                m.decision_cache_invalidations,
-                if m.policy_index.queries == 0 {
-                    0.0
-                } else {
-                    m.policy_index.candidates_scanned as f64 / m.policy_index.queries as f64
-                },
-                m.erm_index.ips_with_hosts,
+                "    (resolved+classified={} erm ips={})",
+                m.decision_cache_misses, m.erm_index.ips_with_hosts,
             );
         }
     }
@@ -89,33 +81,14 @@ fn main() {
             no_load_plain.ttfb.mean() * 1e3
         ),
     );
-    // Hot-path internals (not in the paper): the decision memo and the
-    // bucket index never change simulated service times — these rows exist
-    // to show the CPU-side machinery is live and consistent.
+    // Hot-path internals (not in the paper): resolution and classification
+    // never change simulated service times — these rows exist to show the
+    // CPU-side machinery is live and consistent.
     if let Some(m) = &no_load.dfi {
         row(
-            "Decision cache hits/misses (no load)",
+            "Decisions resolved + classified (no load)",
             "n/a",
-            &format!(
-                "{}/{} ({} entries, {} invalidations)",
-                m.decision_cache_hits,
-                m.decision_cache_misses,
-                m.decision_cache_entries,
-                m.decision_cache_invalidations
-            ),
-        );
-        row(
-            "Policy candidates scanned per query",
-            "n/a",
-            &format!(
-                "{:.2} of {} rules",
-                if m.policy_index.queries == 0 {
-                    0.0
-                } else {
-                    m.policy_index.candidates_scanned as f64 / m.policy_index.queries as f64
-                },
-                m.policy_index.rules
-            ),
+            &format!("{} of {} packet-ins", m.decision_cache_misses, m.packet_ins),
         );
         row(
             "ERM index sizes (ip->host/host->user/ip->mac)",

@@ -8,7 +8,6 @@ use dfi_core::erm::{Binding, EntityResolver};
 use dfi_core::policy::{
     EndpointPattern, EndpointView, FlowView, PolicyManager, PolicyRule, PolicySnapshot,
 };
-use dfi_core::{DecisionCache, FlowKey};
 use dfi_dataplane::FlowTable;
 use dfi_openflow::{Action, FlowMod, Instruction, Match, Message, OfMessage, PacketIn};
 use dfi_packet::headers::build;
@@ -117,36 +116,15 @@ fn bench_policy(c: &mut Criterion) {
                 ..EndpointView::default()
             },
         };
-        // Three generations of the decide path, same decision (proven by
-        // proptest): the compiled immutable snapshot (the current hot
-        // path), the bucket-indexed mutable query, and the retained
-        // full-scan reference.
+        // The decide path and its oracle, same decision (proven by
+        // proptest): the compiled immutable snapshot and the full-scan
+        // reference.
         let snap = PolicySnapshot::compile(&pm, 1);
         g.bench_function(format!("snapshot_classify_{n}_rules"), |b| {
             b.iter(|| black_box(snap.classify(black_box(&flow))));
         });
-        g.bench_function(format!("query_{n}_rules"), |b| {
-            b.iter(|| black_box(pm.query(black_box(&flow))));
-        });
         g.bench_function(format!("query_linear_{n}_rules"), |b| {
             b.iter(|| black_box(pm.query_linear(black_box(&flow))));
-        });
-        // Burst classification: decisions-per-second over a 64-flow batch
-        // against one frozen snapshot, reusing the output buffer.
-        let flows: Vec<FlowView> = (0..64)
-            .map(|i| {
-                let mut f = flow.clone();
-                f.src.hostnames = vec![format!("h{}", i % n.max(1))];
-                f
-            })
-            .collect();
-        let mut out = Vec::with_capacity(flows.len());
-        g.bench_function(format!("snapshot_classify_batch64_{n}_rules"), |b| {
-            b.iter(|| {
-                out.clear();
-                snap.classify_batch(black_box(&flows), &mut out);
-                black_box(out.len())
-            });
         });
     }
     g.finish();
@@ -187,44 +165,6 @@ fn bench_erm(c: &mut Criterion) {
             b.iter(|| black_box(erm.spoof_check(black_box(Some(ip)), mac)));
         });
     }
-    g.finish();
-}
-
-fn bench_decision_cache(c: &mut Criterion) {
-    let mut g = c.benchmark_group("decision_cache");
-    let mut cache = DecisionCache::with_capacity(65_536);
-    let mut pm = PolicyManager::new();
-    let (policy, _) = pm.insert(PolicyRule::allow_all(), 10, "bench");
-    for i in 0..10_000u32 {
-        let h = PacketHeaders::parse(&sample_frame(i)).unwrap();
-        let key = FlowKey::new(&h, 0xD1, 1 + i % 40);
-        cache.insert(
-            key,
-            dfi_core::policy::Decision {
-                action: dfi_core::policy::PolicyAction::Allow,
-                policy,
-            },
-            false,
-            0,
-        );
-    }
-    let hit_headers = PacketHeaders::parse(&sample_frame(5_000)).unwrap();
-    let hit = FlowKey::new(&hit_headers, 0xD1, 1);
-    let miss = FlowKey::new(&hit_headers, 0xD1, 39); // unknown in_port
-    g.bench_function("hit_10k_entries", |b| {
-        b.iter(|| black_box(cache.lookup(black_box(&hit))));
-    });
-    g.bench_function("miss_10k_entries", |b| {
-        b.iter(|| black_box(cache.lookup(black_box(&miss))));
-    });
-    // The full CPU cost a cached packet avoids: canonicalize + probe vs.
-    // parse + resolve + query (measured separately above).
-    g.bench_function("key_build_and_hit", |b| {
-        b.iter(|| {
-            let key = FlowKey::new(black_box(&hit_headers), 0xD1, 1);
-            black_box(cache.lookup(&key))
-        });
-    });
     g.finish();
 }
 
@@ -372,7 +312,6 @@ criterion_group!(
     bench_flow_table,
     bench_policy,
     bench_erm,
-    bench_decision_cache,
     bench_wire,
     bench_sim_kernel
 );

@@ -2,12 +2,11 @@
 //! Point pipeline for the switches one shard owns.
 //!
 //! A [`DataShard`] holds the proxy, the PCP stations, an Entity
-//! Resolution Manager replica, the decision cache, the snapshot it
-//! decides against, its switch connections and its tracked installs. It
-//! holds no policy state of its own — no Policy Manager, no gate, no bus,
-//! no retention ring: policy arrives from its
-//! [`ControlFront`](crate::ControlFront) as compiled snapshots and cookie
-//! flushes, bindings as [`BindingBatch`]es.
+//! Resolution Manager replica, the snapshot it decides against, its switch
+//! connections and its tracked installs. It holds no policy state of its
+//! own — no Policy Manager, no gate, no bus, no retention ring: policy
+//! arrives from its [`ControlFront`](crate::ControlFront) as compiled
+//! snapshots and cookie flushes, bindings as [`BindingBatch`]es.
 //!
 //! Message flow for a new flow's first packet (paper Figure 2):
 //!
@@ -27,40 +26,18 @@
 //! it, and every table reference it exchanges with the switch is shifted so
 //! Table 0 does not exist from the controller's point of view.
 //!
-//! # Decision cache
+//! # One decide path
 //!
-//! The PCP memoizes flow decisions in a [`DecisionCache`] keyed by the
-//! packet's canonical low-level tuple (switch, in-port, MACs, EtherType,
-//! IP protocol, IPs, L4 ports). A hit skips the *CPU-side* entity
-//! resolution and policy query; it does **not** skip the simulated ERM/PM
-//! database stations, so the calibrated service-time model — and with it
-//! Figure 4's latency curve — is untouched. What the cache buys inside the
-//! simulation is the real-system property the paper's consistency design
-//! implies: a decision may be reused only until an event that could change
-//! it.
-//!
-//! Invalidation is event-driven and mirrors the cookie-flush protocol
-//! exactly: entries are tagged with their deciding [`PolicyId`] and with
-//! the IPs/MACs their resolution consumed. Policy insert/revoke drops the
-//! entries of every cookie it flushes from the switches, at the same call
-//! sites; ERM binding add/expire (DHCP lease, DNS name, SIEM session
-//! events, MAC migration) drops the entries touching the rebound
-//! identifiers — session events map hostnames to affected IPs through the
-//! ERM's refcounted name reverse index. A no-op re-bind (the per-packet
-//! MAC-location refresh) invalidates nothing, which is what makes the
-//! cache effective at all.
-//!
-//! # Snapshot data plane
-//!
-//! The flow-setup hot path never touches the mutable Policy Manager: every
-//! decision reads the immutable [`PolicySnapshot`] the front compiled once
-//! per certified commit and published to every shard (see
-//! `crate::policy::snapshot`). A *recovery* publication — the first after
-//! the certification gate refused — bulk-expires decision-cache entries
-//! by epoch, so no stale verdict survives the swap. Bursts of packet-ins
-//! arriving in one read are classified against a single frozen snapshot in
-//! one pass ([`PolicySnapshot::classify_batch`]) before fanning into the
-//! batched FlowMod‖Barrier installs.
+//! Every Packet-In is decided the same way, at decision time (paper
+//! §III-B): its identifiers are resolved on the shard's live ERM replica
+//! and the resulting flow is classified by the [`PolicySnapshot`] the
+//! front compiled once per certified commit and published to every shard
+//! (see `crate::policy::snapshot`). Nothing is memoized, so a decision
+//! always reflects the bindings and the snapshot of its own moment; the
+//! hot path never touches the mutable Policy Manager. The Packet-Ins of
+//! one control-channel read are admitted as one PCP job (one pass through
+//! the simulated stations) and decided in arrival order against the same
+//! snapshot before fanning into the batched FlowMod‖Barrier installs.
 //!
 //! An allowed Packet-In reaches the controller under the transaction id
 //! the switch gave it: the controller sees the switch's own numbering, not
@@ -68,20 +45,17 @@
 
 use crate::erm::{Binding, EntityResolver, ErmIndexSizes, SpoofVerdict};
 use crate::events::{DfiEvent, RepairStepData};
-use crate::policy::{
-    Decision, FlowView, PolicyAction, PolicyId, PolicyIndexStats, PolicySnapshot, DEFAULT_DENY_ID,
-};
+use crate::policy::{Decision, FlowView, PolicyAction, PolicyId, PolicySnapshot, DEFAULT_DENY_ID};
 use crate::rewrite::{
     rewrite_controller_frame_in_place, rewrite_switch_frame_in_place, rewrite_switch_to_controller,
     ControllerFrame, SwitchFrame,
 };
 use dfi_dataplane::{ByteSink, Switch};
 use dfi_openflow::{ErrorMsg, FlowMod, Instruction, Match, Message, OfMessage, PacketIn};
-use dfi_packet::{MacAddr, PacketHeaders};
+use dfi_packet::PacketHeaders;
 use dfi_simnet::{Dist, Sim, SimTime, Station, StationConfig, SubmitOutcome, Summary};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
-use std::net::Ipv4Addr;
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -140,8 +114,10 @@ pub struct DfiConfig {
     /// port-wildcarded rule instead of one exact rule per flow. Off by
     /// default — the paper's evaluated system installs exact rules only.
     pub wildcard_caching: bool,
-    /// Entry bound of the PCP decision cache (see the module docs). `0`
-    /// disables memoization entirely.
+    /// Entry bound of the flow-decision memo model
+    /// ([`DecisionCache`](crate::DecisionCache)) the wall-clock benchmark's
+    /// traced replay builds. No proxy reads it: every Packet-In is decided
+    /// afresh (see the module docs). The default `0` stores nothing.
     pub decision_cache_capacity: usize,
 }
 
@@ -165,219 +141,8 @@ impl Default for DfiConfig {
             bus_latency: Dist::normal_ms(0.3, 0.05),
             n_tables: 8,
             wildcard_caching: false,
-            decision_cache_capacity: 65_536,
+            decision_cache_capacity: 0,
         }
-    }
-}
-
-/// Canonical low-level identity of a flow: everything `pcp_decide` feeds
-/// into entity resolution and the policy query. Two packets with equal
-/// keys get identical decisions as long as no binding or policy event
-/// intervenes.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct FlowKey {
-    dpid: u64,
-    in_port: u32,
-    eth_src: MacAddr,
-    eth_dst: MacAddr,
-    ethertype: u16,
-    ip_proto: Option<u8>,
-    ip_src: Option<Ipv4Addr>,
-    ip_dst: Option<Ipv4Addr>,
-    l4_src: Option<u16>,
-    l4_dst: Option<u16>,
-}
-
-impl FlowKey {
-    /// Canonicalizes a parsed packet received at `(dpid, in_port)`.
-    #[must_use]
-    pub fn new(headers: &PacketHeaders, dpid: u64, in_port: u32) -> FlowKey {
-        FlowKey {
-            dpid,
-            in_port,
-            eth_src: headers.eth_src,
-            eth_dst: headers.eth_dst,
-            ethertype: headers.ethertype.to_u16(),
-            ip_proto: headers.ip_proto.map(|p| p.0),
-            ip_src: headers.ipv4_src,
-            ip_dst: headers.ipv4_dst,
-            l4_src: headers.l4_src(),
-            l4_dst: headers.l4_dst(),
-        }
-    }
-}
-
-/// A memoized verdict: what `pcp_decide` concluded last time it saw this
-/// flow key.
-#[derive(Clone, Debug)]
-pub struct CachedDecision {
-    /// The verdict and the policy that produced it.
-    pub decision: Decision,
-    /// The decision came from a port-class query and the compiled rule was
-    /// widened (L4 ports wildcarded).
-    pub widened: bool,
-    /// Epoch of the policy snapshot that produced the decision; entries
-    /// older than the cache's validity floor are lazily dropped on lookup
-    /// (see [`DecisionCache::expire_before`]).
-    pub epoch: u64,
-}
-
-/// Memo of flow decisions with event-driven invalidation (see the module
-/// docs). Entries are indexed by deciding policy and by every IP/MAC in
-/// the key so that policy flushes and binding churn can drop exactly the
-/// affected decisions.
-#[derive(Default)]
-pub struct DecisionCache {
-    entries: HashMap<FlowKey, CachedDecision>,
-    by_policy: HashMap<PolicyId, HashSet<FlowKey>>,
-    by_ip: HashMap<Ipv4Addr, HashSet<FlowKey>>,
-    by_mac: HashMap<MacAddr, HashSet<FlowKey>>,
-    hits: u64,
-    misses: u64,
-    invalidations: u64,
-    /// Entry bound; at capacity the whole memo is dropped (simple and
-    /// rare) rather than tracking recency.
-    capacity: usize,
-    /// Entries stamped with a snapshot epoch below this floor are stale:
-    /// they were decided under a snapshot that was later superseded by a
-    /// *recovery* publication (one that ended a deferred/refused state, so
-    /// the precise per-policy flush invalidation could not have covered
-    /// the interim decisions). Raised by [`DecisionCache::expire_before`];
-    /// stale entries are dropped lazily on their next lookup.
-    valid_epoch: u64,
-}
-
-impl DecisionCache {
-    /// An empty cache bounded at `capacity` entries (`0` disables caching).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> DecisionCache {
-        DecisionCache {
-            capacity,
-            ..DecisionCache::default()
-        }
-    }
-
-    /// The per-packet probe: counts a hit or a miss either way. A hit on
-    /// an entry from an expired snapshot epoch is a miss (the stale entry
-    /// is dropped and counted as an invalidation).
-    pub fn lookup(&mut self, key: &FlowKey) -> Option<CachedDecision> {
-        if let Some(hit) = self.entries.get(key) {
-            if hit.epoch >= self.valid_epoch {
-                self.hits += 1;
-                return Some(hit.clone());
-            }
-            self.detach(key, None);
-        }
-        self.misses += 1;
-        None
-    }
-
-    /// Declares every entry decided under a snapshot epoch below `epoch`
-    /// stale. Called on a *recovery* publication (the swap that ends a
-    /// deferred state); ordinary publications rely on the precise
-    /// per-policy flush invalidation instead.
-    pub fn expire_before(&mut self, epoch: u64) {
-        self.valid_epoch = epoch;
-    }
-
-    /// Memoizes a freshly computed decision under its flow key, stamped
-    /// with the epoch of the snapshot that produced it.
-    pub fn insert(&mut self, key: FlowKey, decision: Decision, widened: bool, epoch: u64) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.entries.len() >= self.capacity {
-            let flushed = self.entries.len() as u64;
-            self.entries.clear();
-            self.by_policy.clear();
-            self.by_ip.clear();
-            self.by_mac.clear();
-            self.invalidations += flushed;
-        }
-        self.by_policy
-            .entry(decision.policy)
-            .or_default()
-            .insert(key.clone());
-        for ip in [key.ip_src, key.ip_dst].into_iter().flatten() {
-            self.by_ip.entry(ip).or_default().insert(key.clone());
-        }
-        for mac in [key.eth_src, key.eth_dst] {
-            self.by_mac.entry(mac).or_default().insert(key.clone());
-        }
-        self.entries.insert(
-            key,
-            CachedDecision {
-                decision,
-                widened,
-                epoch,
-            },
-        );
-    }
-
-    fn detach(&mut self, key: &FlowKey, skip_policy: Option<PolicyId>) {
-        let Some(entry) = self.entries.remove(key) else {
-            return;
-        };
-        self.invalidations += 1;
-        if skip_policy != Some(entry.decision.policy) {
-            if let Some(set) = self.by_policy.get_mut(&entry.decision.policy) {
-                set.remove(key);
-                if set.is_empty() {
-                    self.by_policy.remove(&entry.decision.policy);
-                }
-            }
-        }
-        for ip in [key.ip_src, key.ip_dst].into_iter().flatten() {
-            if let Some(set) = self.by_ip.get_mut(&ip) {
-                set.remove(key);
-                if set.is_empty() {
-                    self.by_ip.remove(&ip);
-                }
-            }
-        }
-        for mac in [key.eth_src, key.eth_dst] {
-            if let Some(set) = self.by_mac.get_mut(&mac) {
-                set.remove(key);
-                if set.is_empty() {
-                    self.by_mac.remove(&mac);
-                }
-            }
-        }
-    }
-
-    /// Drops every decision made by `policy` — called exactly where the
-    /// switch-side cookie flush for that policy is issued.
-    fn invalidate_policy(&mut self, policy: PolicyId) {
-        let Some(keys) = self.by_policy.remove(&policy) else {
-            return;
-        };
-        for key in keys {
-            self.detach(&key, Some(policy));
-        }
-    }
-
-    /// Drops every decision whose packet identifiers include `ip`.
-    fn invalidate_ip(&mut self, ip: Ipv4Addr) {
-        let Some(keys) = self.by_ip.get(&ip).cloned() else {
-            return;
-        };
-        for key in keys {
-            self.detach(&key, None);
-        }
-    }
-
-    /// Drops every decision whose packet identifiers include `mac`.
-    fn invalidate_mac(&mut self, mac: MacAddr) {
-        let Some(keys) = self.by_mac.get(&mac).cloned() else {
-            return;
-        };
-        for key in keys {
-            self.detach(&key, None);
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
     }
 }
 
@@ -419,14 +184,15 @@ pub struct DfiMetrics {
     /// that an administrator can "understand the current policy" extends
     /// to seeing which rules actually decide traffic).
     pub decisions_by_policy: std::collections::BTreeMap<u64, u64>,
-    /// Decision-cache hits (flows decided without re-running entity
-    /// resolution and the policy query).
+    /// Flows decided without resolving and classifying: always 0, since
+    /// no proxy memoizes decisions.
     pub decision_cache_hits: u64,
-    /// Decision-cache misses (full enrich→match→decide executions).
+    /// Decisions that ran entity resolution plus classification: every
+    /// decided Packet-In except the anti-spoofing denies.
     pub decision_cache_misses: u64,
-    /// Cache entries dropped by policy flushes and binding churn.
+    /// Memoized decisions dropped: always 0 (no memo).
     pub decision_cache_invalidations: u64,
-    /// Live decision-cache entries at snapshot time.
+    /// Memoized decisions held: always 0 (no memo).
     pub decision_cache_entries: u64,
     /// Flow-mod installs coalesced with their barrier into one batched
     /// write (a single framed buffer on the wire).
@@ -450,16 +216,13 @@ pub struct DfiMetrics {
     pub snapshot_epoch: u64,
     /// Rule count of the currently served snapshot at metrics time.
     pub snapshot_rules: u64,
-    /// Multi-packet-in reads classified as one burst against a single
-    /// frozen snapshot.
+    /// Control-channel reads carrying two or more Packet-Ins, each
+    /// admitted as one PCP job and decided against one snapshot.
     pub packet_in_bursts: u64,
-    /// Flows decided through the batched `classify_batch` pass.
+    /// Flows classified from those multi-Packet-In reads.
     pub burst_flows_classified: u64,
-    /// ERM secondary-index sizes at snapshot time.
+    /// ERM index sizes at snapshot time.
     pub erm_index: ErmIndexSizes,
-    /// Policy bucket-index shape and candidate-scan accounting at snapshot
-    /// time. Filled in by the front, which owns the Policy Manager.
-    pub policy_index: PolicyIndexStats,
 }
 
 impl DfiMetrics {
@@ -508,15 +271,9 @@ impl DfiMetrics {
         self.burst_flows_classified += other.burst_flows_classified;
         self.erm_index.ips_with_hosts += other.erm_index.ips_with_hosts;
         self.erm_index.hosts_with_users += other.erm_index.hosts_with_users;
-        self.erm_index.users_with_hosts += other.erm_index.users_with_hosts;
         self.erm_index.ips_with_macs += other.erm_index.ips_with_macs;
         self.erm_index.mac_locations += other.erm_index.mac_locations;
         self.erm_index.bindings += other.erm_index.bindings;
-        self.policy_index.rules += other.policy_index.rules;
-        self.policy_index.buckets += other.policy_index.buckets;
-        self.policy_index.scan_bucket_len += other.policy_index.scan_bucket_len;
-        self.policy_index.candidates_scanned += other.policy_index.candidates_scanned;
-        self.policy_index.queries += other.policy_index.queries;
     }
 }
 
@@ -626,7 +383,6 @@ pub struct BindingBatch {
 struct Inner {
     config: DfiConfig,
     erm: EntityResolver,
-    cache: DecisionCache,
     /// The snapshot the hot path decides against; the front replaces it
     /// once per certified commit.
     snapshot: Arc<PolicySnapshot>,
@@ -645,40 +401,6 @@ struct Inner {
 }
 
 impl Inner {
-    /// Applies one ERM mutation with exactly the cache invalidation the
-    /// bus sensor handlers perform, so a fanned-out replica and a
-    /// directly-subscribed DFI converge to identical decision state:
-    /// IP-keyed bindings stale decisions that resolved through the IP,
-    /// session changes stale every IP the host resolves to, and location
-    /// changes stale the MAC (mirroring the PCP's packet-in sensor).
-    fn apply_binding_op(&mut self, op: &BindingOp) {
-        let (binding, establish) = match op {
-            BindingOp::Bind(b) => (b, true),
-            BindingOp::Unbind(b) => (b, false),
-        };
-        let changed = if establish {
-            self.erm.bind(binding.clone())
-        } else {
-            self.erm.unbind(binding)
-        };
-        if !changed {
-            return;
-        }
-        match binding {
-            Binding::IpMac { ip, .. } | Binding::HostIp { ip, .. } => {
-                self.cache.invalidate_ip(*ip);
-            }
-            Binding::UserHost { host, .. } => {
-                for ip in self.erm.ips_of_host(host) {
-                    self.cache.invalidate_ip(ip);
-                }
-            }
-            Binding::MacLocation { mac, .. } => {
-                self.cache.invalidate_mac(*mac);
-            }
-        }
-    }
-
     /// Cancels unacknowledged *add* retries for `cookie` (on connection
     /// `only`, or on all): the cookie is being flushed, so resending its
     /// Allow rules after the delete would reinstall a revoked permission.
@@ -787,12 +509,10 @@ impl DataShard {
         };
         let binding_station = db_station("erm-db", config.binding_query.clone());
         let policy_station = db_station("policy-db", config.policy_query.clone());
-        let cache = DecisionCache::with_capacity(config.decision_cache_capacity);
         DataShard {
             inner: Rc::new(RefCell::new(Inner {
                 config,
                 erm: EntityResolver::new(),
-                cache,
                 snapshot: Arc::new(PolicySnapshot::empty()),
                 default_deny_cached: false,
                 binding_epoch: 0,
@@ -807,9 +527,8 @@ impl DataShard {
         }
     }
 
-    /// Applies an epoch-stamped batch of ERM mutations, with the cache
-    /// invalidation each binding change implies. Returns `false` if the
-    /// batch was stale — its epoch not newer than one already applied —
+    /// Applies an epoch-stamped batch of ERM mutations. Returns `false` if
+    /// the batch was stale — its epoch not newer than one already applied —
     /// and was ignored. Unstamped batches (epoch 0) always apply.
     #[must_use]
     pub fn apply_binding_batch(&self, batch: &BindingBatch) -> bool {
@@ -821,7 +540,10 @@ impl DataShard {
             inner.binding_epoch = batch.epoch;
         }
         for op in &batch.ops {
-            inner.apply_binding_op(op);
+            match op {
+                BindingOp::Bind(b) => inner.erm.bind(b.clone()),
+                BindingOp::Unbind(b) => inner.erm.unbind(b),
+            };
         }
         true
     }
@@ -915,8 +637,8 @@ impl DataShard {
     fn handle_switch_bytes(&self, sim: &mut Sim, conn: usize, bytes: &[u8]) {
         const OFPT_PACKET_IN: u8 = 10;
         // First pass: count packet-in frames. Two or more in one read form
-        // a burst, admitted as a single PCP job and classified against one
-        // frozen snapshot in one `classify_batch` pass.
+        // a burst, admitted as a single PCP job after the read's other
+        // frames; a lone packet-in is admitted in its place.
         let mut n_packet_ins = 0usize;
         let mut offset = 0;
         while offset < bytes.len() {
@@ -960,7 +682,7 @@ impl DataShard {
                 d
             };
             let me = self.clone();
-            sim.schedule_in(proxy_delay, move |sim| me.pcp_admit_burst(sim, conn, burst));
+            sim.schedule_in(proxy_delay, move |sim| me.pcp_admit(sim, conn, burst));
         }
     }
 
@@ -983,7 +705,9 @@ impl DataShard {
                 if let Message::PacketIn(pi) = msg.body {
                     let me = self.clone();
                     let xid = msg.xid;
-                    sim.schedule_in(proxy_delay, move |sim| me.pcp_admit(sim, conn, xid, pi));
+                    sim.schedule_in(proxy_delay, move |sim| {
+                        me.pcp_admit(sim, conn, [(xid, pi)]);
+                    });
                 }
             }
             // A barrier reply for one of our tracked Table-0 installs is
@@ -1218,50 +942,19 @@ impl DataShard {
     // The Policy Compilation Point pipeline
     // ------------------------------------------------------------------
 
-    fn pcp_admit(&self, sim: &mut Sim, conn: usize, xid: u32, pi: PacketIn) {
+    /// Admits the Packet-Ins of one read as **one** job through the PCP
+    /// and database stations (the job pays each stage's latency once),
+    /// then decides them. A lone Packet-In travels in an array, not a
+    /// `Vec`: no allocation on the common path.
+    fn pcp_admit(&self, sim: &mut Sim, conn: usize, pis: impl AsRef<[(u32, PacketIn)]> + 'static) {
         let arrival = sim.now();
-        self.inner.borrow_mut().metrics.packet_ins += 1;
-        let me = self.clone();
-        let outcome = self.pcp_station.submit(sim, move |sim| {
-            let t_pcp_done = sim.now();
-            me.record(|m| m.pcp_other.push((t_pcp_done - arrival).as_secs_f64()));
-            let me2 = me.clone();
-            let outcome = me.binding_station.submit(sim, move |sim| {
-                let t_binding_done = sim.now();
-                me2.record(|m| m.binding.push((t_binding_done - t_pcp_done).as_secs_f64()));
-                let me3 = me2.clone();
-                let outcome = me2.policy_station.submit(sim, move |sim| {
-                    let t_policy_done = sim.now();
-                    me3.record(|m| {
-                        m.policy
-                            .push((t_policy_done - t_binding_done).as_secs_f64());
-                    });
-                    me3.pcp_decide(sim, conn, xid, &pi, arrival);
-                });
-                if outcome == SubmitOutcome::Dropped {
-                    me2.record(|m| m.dropped += 1);
-                }
-            });
-            if outcome == SubmitOutcome::Dropped {
-                me.record(|m| m.dropped += 1);
+        let n = pis.as_ref().len() as u64;
+        self.record(|m| {
+            m.packet_ins += n;
+            if n > 1 {
+                m.packet_in_bursts += 1;
             }
         });
-        if outcome == SubmitOutcome::Dropped {
-            self.record(|m| m.dropped += 1);
-        }
-    }
-
-    /// Admits a packet-in burst as **one** job through the PCP and
-    /// database stations (the batch pays each stage's latency once), then
-    /// decides every flow in a single batched pass.
-    fn pcp_admit_burst(&self, sim: &mut Sim, conn: usize, pis: Vec<(u32, PacketIn)>) {
-        let arrival = sim.now();
-        let n = pis.len() as u64;
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.metrics.packet_ins += n;
-            inner.metrics.packet_in_bursts += 1;
-        }
         let me = self.clone();
         let outcome = self.pcp_station.submit(sim, move |sim| {
             let t_pcp_done = sim.now();
@@ -1277,7 +970,7 @@ impl DataShard {
                         m.policy
                             .push((t_policy_done - t_binding_done).as_secs_f64());
                     });
-                    me3.pcp_decide_burst(sim, conn, &pis, arrival);
+                    me3.pcp_decide(sim, conn, pis.as_ref(), arrival);
                 });
                 if outcome == SubmitOutcome::Dropped {
                     me2.record(|m| m.dropped += n);
@@ -1292,133 +985,49 @@ impl DataShard {
         }
     }
 
-    /// Decides a whole packet-in burst: per-flow admission (MAC re-bind,
-    /// anti-spoofing, memo probe) under one borrow, then **one**
-    /// [`PolicySnapshot::classify_batch`] pass over every memo miss against
-    /// one frozen snapshot — no torn reads across the burst — feeding the
-    /// per-flow batched FlowMod‖Barrier installs. The burst path always
-    /// compiles exact-match rules; port-class widening stays on the
-    /// single-flow path.
-    fn pcp_decide_burst(
-        &self,
-        sim: &mut Sim,
-        conn: usize,
-        pis: &[(u32, PacketIn)],
-        arrival: SimTime,
-    ) {
-        struct Planned {
-            pi_index: usize,
-            decision: Decision,
-            mat: Match,
-        }
-        let mut planned: Vec<Planned> = Vec::with_capacity(pis.len());
-        {
-            let mut inner = self.inner.borrow_mut();
-            let dpid = inner.conns[conn].dpid;
-            let snap = Arc::clone(&inner.snapshot);
-            let mut flows: Vec<FlowView> = Vec::new();
-            let mut pending: Vec<(usize, FlowKey, Match)> = Vec::new();
-            for (i, (_, pi)) in pis.iter().enumerate() {
-                let Some(in_port) = pi.in_port() else {
-                    continue;
-                };
-                let Ok(headers) = dfi_packet::PacketHeaders::parse(&pi.data) else {
-                    continue;
-                };
-                if inner.erm.bind(Binding::MacLocation {
-                    mac: headers.eth_src,
-                    dpid,
-                    port: in_port,
-                }) {
-                    inner.cache.invalidate_mac(headers.eth_src);
-                }
-                let mat = Match::exact_from_headers(in_port, &headers);
-                if inner.erm.spoof_check(headers.ipv4_src, headers.eth_src)
-                    == SpoofVerdict::IpMacMismatch
-                {
-                    inner.metrics.spoof_denied += 1;
-                    inner.default_deny_cached = true;
-                    planned.push(Planned {
-                        pi_index: i,
-                        decision: Decision {
-                            action: PolicyAction::Deny,
-                            policy: DEFAULT_DENY_ID,
-                        },
-                        mat,
-                    });
-                    continue;
-                }
-                let key = FlowKey::new(&headers, dpid, in_port);
-                if let Some(hit) = inner.cache.lookup(&key) {
-                    let mut mat = mat;
-                    if hit.widened {
-                        mat.tcp_src = None;
-                        mat.tcp_dst = None;
-                        mat.udp_src = None;
-                        mat.udp_dst = None;
-                        inner.metrics.wildcard_cached += 1;
-                    }
-                    planned.push(Planned {
-                        pi_index: i,
-                        decision: hit.decision,
-                        mat,
-                    });
-                } else {
-                    let (src, dst) = inner.erm.resolve_flow(&headers, dpid, in_port);
-                    flows.push(FlowView {
-                        ethertype: headers.ethertype.to_u16(),
-                        ip_proto: headers.ip_proto.map(|p| p.0),
-                        src,
-                        dst,
-                    });
-                    pending.push((i, key, mat));
-                }
-            }
-            let mut decisions = Vec::with_capacity(flows.len());
-            snap.classify_batch(&flows, &mut decisions);
-            inner.metrics.burst_flows_classified += decisions.len() as u64;
-            for ((i, key, mat), decision) in pending.into_iter().zip(decisions) {
-                if decision.policy == DEFAULT_DENY_ID {
-                    inner.default_deny_cached = true;
-                }
-                inner
-                    .cache
-                    .insert(key, decision.clone(), false, snap.epoch());
-                planned.push(Planned {
-                    pi_index: i,
-                    decision,
-                    mat,
-                });
-            }
-        }
-        // Install and forward in arrival order (memo hits and batch
-        // results interleave above).
-        planned.sort_by_key(|p| p.pi_index);
+    fn record(&self, f: impl FnOnce(&mut DfiMetrics)) {
+        f(&mut self.inner.borrow_mut().metrics);
+    }
+
+    /// The access-control decisions of one admitted job, executed once it
+    /// has traversed the PCP and both database stations (all modeled
+    /// latency paid): each Packet-In in arrival order is decided, its
+    /// exact-match rule installed, and — when allowed — forwarded to the
+    /// controller. The job runs within one simulation event, so every
+    /// Packet-In of a read is decided against the same snapshot.
+    fn pcp_decide(&self, sim: &mut Sim, conn: usize, pis: &[(u32, PacketIn)], arrival: SimTime) {
         let (rule_priority, install_latency) = {
             let inner = self.inner.borrow();
             (inner.config.rule_priority, inner.config.install_latency)
         };
-        for p in planned {
+        for (xid, pi) in pis {
+            let Some((decision, mat)) = self.verdict(conn, pi, pis.len() > 1) else {
+                continue;
+            };
             self.record(|m| {
-                *m.decisions_by_policy
-                    .entry(p.decision.policy.0)
-                    .or_insert(0) += 1;
+                *m.decisions_by_policy.entry(decision.policy.0).or_insert(0) += 1;
             });
+            // Compile the exact-match rule: Allow chains into the
+            // controller's tables; Deny has no instructions (drop at end of
+            // Table 0).
             let fm = FlowMod {
-                cookie: p.decision.policy.0,
+                cookie: decision.policy.0,
                 table_id: 0,
                 priority: rule_priority,
-                mat: p.mat,
-                instructions: match p.decision.action {
+                mat,
+                instructions: match decision.action {
                     PolicyAction::Allow => vec![Instruction::GotoTable(1)],
                     PolicyAction::Deny => vec![],
                 },
                 ..FlowMod::add()
             };
             self.send_tracked_install(sim, conn, fm, install_latency);
-            match p.decision.action {
+            match decision.action {
                 PolicyAction::Allow => {
                     self.record(|m| m.allowed += 1);
+                    // Forward the packet-in to the controller (step 11 in
+                    // the paper's workflow) so routing can happen — only
+                    // now, after the access-control check.
                     let (sink, pool) = {
                         let inner = self.inner.borrow();
                         (
@@ -1427,7 +1036,6 @@ impl DataShard {
                         )
                     };
                     if let Some(sink) = sink {
-                        let (xid, pi) = &pis[p.pi_index];
                         if let Some(rewritten) = rewrite_switch_to_controller(OfMessage::new(
                             *xid,
                             Message::PacketIn(pi.clone()),
@@ -1450,174 +1058,89 @@ impl DataShard {
         }
     }
 
-    fn record(&self, f: impl FnOnce(&mut DfiMetrics)) {
-        f(&mut self.inner.borrow_mut().metrics);
-    }
-
-    /// The access-control decision: executed once the flow has traversed
-    /// the PCP and both database stations (i.e. all modeled latency paid).
-    fn pcp_decide(&self, sim: &mut Sim, conn: usize, xid: u32, pi: &PacketIn, arrival: SimTime) {
-        let Some(in_port) = pi.in_port() else { return };
-        let Ok(headers) = dfi_packet::PacketHeaders::parse(&pi.data) else {
-            return;
-        };
-        let (decision, mat) = {
-            let mut inner = self.inner.borrow_mut();
-            let dpid = inner.conns[conn].dpid;
-            // The MAC↔switch/port sensor lives in the PCP: packet-in
-            // events are its authoritative source. An *effective* change
-            // (host appeared or moved) stales any decision that resolved a
-            // location for this MAC; the steady-state per-packet re-bind
-            // is a no-op and invalidates nothing.
-            if inner.erm.bind(Binding::MacLocation {
-                mac: headers.eth_src,
-                dpid,
-                port: in_port,
-            }) {
-                inner.cache.invalidate_mac(headers.eth_src);
-            }
-            // Anti-spoofing: identifiers at all levels must be mutually
-            // consistent before any policy lookup. Runs on every packet —
-            // spoofed traffic must never ride a cached decision — but it
-            // is a single index probe.
-            if inner.erm.spoof_check(headers.ipv4_src, headers.eth_src)
-                == SpoofVerdict::IpMacMismatch
-            {
-                inner.metrics.spoof_denied += 1;
-                // The drop rule below is installed under cookie 0 without
-                // a policy query: note it DFI-side (the hot path never
-                // touches the Policy Manager) so the next conflicting
-                // Allow insert flushes it.
-                inner.default_deny_cached = true;
-                let decision = Decision {
-                    action: PolicyAction::Deny,
-                    policy: DEFAULT_DENY_ID,
-                };
-                let mat = Match::exact_from_headers(in_port, &headers);
-                (decision, mat)
-            } else {
-                let key = FlowKey::new(&headers, dpid, in_port);
-                let mut mat = Match::exact_from_headers(in_port, &headers);
-                let cached = inner.cache.lookup(&key);
-                let (decision, widened) = match cached {
-                    // Memo hit: skip entity resolution and the policy
-                    // query (the simulated station latency was already
-                    // paid on the way here, so the service-time model is
-                    // unaffected).
-                    Some(hit) => (hit.decision, hit.widened),
-                    None => {
-                        let (src, dst) = inner.erm.resolve_flow(&headers, dpid, in_port);
-                        let flow = FlowView {
-                            ethertype: headers.ethertype.to_u16(),
-                            ip_proto: headers.ip_proto.map(|p| p.0),
-                            src,
-                            dst,
-                        };
-                        // The decision reads only the published immutable
-                        // snapshot — no lock, no `&mut PolicyManager`, no
-                        // allocation. Arbitration is bit-identical to
-                        // `pm.query`/`pm.query_class` (proptest-proven).
-                        let snap = Arc::clone(&inner.snapshot);
-                        let (decision, widened) = if inner.config.wildcard_caching {
-                            match snap.classify_class(&flow) {
-                                Some(decision) => (decision, true),
-                                None => (snap.classify(&flow), false),
-                            }
-                        } else {
-                            (snap.classify(&flow), false)
-                        };
-                        if decision.policy == DEFAULT_DENY_ID {
-                            inner.default_deny_cached = true;
-                        }
-                        inner
-                            .cache
-                            .insert(key, decision.clone(), widened, snap.epoch());
-                        (decision, widened)
-                    }
-                };
-                if widened {
-                    // Safe to cache the whole port class: widen the
-                    // compiled rule by dropping the L4 ports.
-                    mat.tcp_src = None;
-                    mat.tcp_dst = None;
-                    mat.udp_src = None;
-                    mat.udp_dst = None;
-                    inner.metrics.wildcard_cached += 1;
-                }
-                (decision, mat)
-            }
-        };
-        self.record(|m| {
-            *m.decisions_by_policy.entry(decision.policy.0).or_insert(0) += 1;
+    /// One Packet-In's verdict: the MAC-location sensor, the
+    /// anti-spoofing check, then entity resolution on the live ERM replica
+    /// and classification against the served snapshot. Returns the
+    /// decision and the rule's match, or `None` for a Packet-In without an
+    /// ingress port or a parsable payload.
+    fn verdict(&self, conn: usize, pi: &PacketIn, in_burst: bool) -> Option<(Decision, Match)> {
+        let in_port = pi.in_port()?;
+        let headers = PacketHeaders::parse(&pi.data).ok()?;
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
+        let dpid = inner.conns[conn].dpid;
+        // The MAC↔switch/port sensor lives in the PCP: packet-in events
+        // are its authoritative source.
+        inner.erm.bind(Binding::MacLocation {
+            mac: headers.eth_src,
+            dpid,
+            port: in_port,
         });
-        // Compile the exact-match rule: Allow chains into the controller's
-        // tables; Deny has no instructions (drop at end of Table 0).
-        let (rule_priority, install_latency) = {
-            let inner = self.inner.borrow();
-            (inner.config.rule_priority, inner.config.install_latency)
-        };
-        let fm = FlowMod {
-            cookie: decision.policy.0,
-            table_id: 0,
-            priority: rule_priority,
-            mat,
-            instructions: match decision.action {
-                PolicyAction::Allow => vec![Instruction::GotoTable(1)],
-                PolicyAction::Deny => vec![],
-            },
-            ..FlowMod::add()
-        };
-        self.send_tracked_install(sim, conn, fm, install_latency);
-
-        match decision.action {
-            PolicyAction::Allow => {
-                self.record(|m| m.allowed += 1);
-                // Forward the packet-in to the controller (step 11 in the
-                // paper's workflow) so routing can happen — only now, after
-                // the access-control check.
-                let (sink, pool) = {
-                    let inner = self.inner.borrow();
-                    (
-                        inner.conns[conn].to_controller.clone(),
-                        inner.conns[conn].pool.clone(),
-                    )
-                };
-                if let Some(sink) = sink {
-                    if let Some(rewritten) = rewrite_switch_to_controller(OfMessage::new(
-                        xid,
-                        Message::PacketIn(pi.clone()),
-                    )) {
-                        let mut bytes = pool.acquire();
-                        rewritten.encode_into(&mut bytes);
-                        sim.schedule_now(move |sim| {
-                            sink(sim, &bytes);
-                            pool.release(bytes);
-                        });
-                    }
-                }
-            }
-            PolicyAction::Deny => {
-                self.record(|m| m.denied += 1);
-            }
+        let mut mat = Match::exact_from_headers(in_port, &headers);
+        // Anti-spoofing: identifiers at all levels must be mutually
+        // consistent before any policy lookup. A single index probe.
+        if inner.erm.spoof_check(headers.ipv4_src, headers.eth_src) == SpoofVerdict::IpMacMismatch {
+            inner.metrics.spoof_denied += 1;
+            // The drop rule is installed under cookie 0 without a policy
+            // lookup: note it shard-side (the hot path never touches the
+            // Policy Manager) so the next conflicting Allow insert flushes
+            // it.
+            inner.default_deny_cached = true;
+            let decision = Decision {
+                action: PolicyAction::Deny,
+                policy: DEFAULT_DENY_ID,
+            };
+            return Some((decision, mat));
         }
-        let done = sim.now();
-        self.record(|m| m.overall.push((done - arrival).as_secs_f64()));
+        let (src, dst) = inner.erm.resolve_flow(&headers, dpid, in_port);
+        let flow = FlowView {
+            ethertype: headers.ethertype.to_u16(),
+            ip_proto: headers.ip_proto.map(|p| p.0),
+            src,
+            dst,
+        };
+        // The decision reads only the published immutable snapshot — no
+        // lock, no `&mut PolicyManager`, no allocation. Arbitration is
+        // bit-identical to `query_linear`/`query_class_linear`
+        // (proptest-proven).
+        let snap = &inner.snapshot;
+        let class = if inner.config.wildcard_caching {
+            snap.classify_class(&flow)
+        } else {
+            None
+        };
+        let decision = match class {
+            Some(decision) => {
+                // The verdict holds for the whole port class: widen the
+                // compiled rule by dropping the L4 ports.
+                mat.tcp_src = None;
+                mat.tcp_dst = None;
+                mat.udp_src = None;
+                mat.udp_dst = None;
+                inner.metrics.wildcard_cached += 1;
+                decision
+            }
+            None => snap.classify(&flow),
+        };
+        inner.metrics.decision_cache_misses += 1;
+        if in_burst {
+            inner.metrics.burst_flows_classified += 1;
+        }
+        if decision.policy == DEFAULT_DENY_ID {
+            inner.default_deny_cached = true;
+        }
+        Some((decision, mat))
     }
 
     // ------------------------------------------------------------------
     // The shard's side of its link to the control front
     // ------------------------------------------------------------------
 
-    /// Serves `snapshot` from now on. A `recovery` publication (the first
-    /// after the gate refused) also expires every memoized decision older
-    /// than the snapshot: the precise per-policy flushes could not cover
-    /// the decisions made under the stale snapshot.
-    pub(crate) fn install(&self, snapshot: Arc<PolicySnapshot>, recovery: bool) {
+    /// Serves `snapshot` from now on: the next Packet-In is decided
+    /// against it.
+    pub(crate) fn install(&self, snapshot: Arc<PolicySnapshot>) {
         let mut inner = self.inner.borrow_mut();
         inner.metrics.snapshots_published += 1;
-        if recovery {
-            inner.cache.expire_before(snapshot.epoch());
-        }
         inner.snapshot = snapshot;
     }
 
@@ -1626,14 +1149,14 @@ impl DataShard {
         std::mem::take(&mut self.inner.borrow_mut().default_deny_cached)
     }
 
-    /// Drops the memoized decisions attributed to `id` and sends a
-    /// delete-by-cookie to every switch this shard owns — one policy's
-    /// share of a flush fan-out.
+    /// Sends a delete-by-cookie for `id` to every switch this shard owns,
+    /// cancelling its pending add retries — one policy's share of a flush
+    /// fan-out. The switches' next packets of those flows punt and are
+    /// decided afresh.
     pub(crate) fn flush_policy(&self, sim: &mut Sim, id: PolicyId) {
         let (n_conns, delay) = {
             let mut inner = self.inner.borrow_mut();
             inner.metrics.flushes += 1;
-            inner.cache.invalidate_policy(id);
             inner.cancel_pending_adds(id.0, None);
             let delay = inner.config.bus_latency.sample(sim.rng()) + inner.config.install_latency;
             (inner.conns.len(), delay)
@@ -1675,15 +1198,11 @@ impl DataShard {
     // Introspection
     // ------------------------------------------------------------------
 
-    /// Snapshot of metrics, including live index/cache statistics.
+    /// Snapshot of metrics, including live pool and index statistics.
     #[must_use]
     pub fn metrics(&self) -> DfiMetrics {
         let inner = self.inner.borrow();
         let mut m = inner.metrics.clone();
-        m.decision_cache_hits = inner.cache.hits;
-        m.decision_cache_misses = inner.cache.misses;
-        m.decision_cache_invalidations = inner.cache.invalidations;
-        m.decision_cache_entries = inner.cache.len() as u64;
         for conn in &inner.conns {
             let (reused, minted) = conn.pool.stats();
             m.pool_reused += reused;
@@ -1725,9 +1244,7 @@ impl DataShard {
     /// half of a repair plan (a network-wide flush is the front's
     /// `flush_policy_rules`): the switch drops its cached rules for the
     /// cookie and the flow's next packet punts for a fresh verdict.
-    /// Memoized decisions for the cookie's policy are invalidated so the
-    /// re-punt is actually re-decided. Returns `false` when no switch this
-    /// shard owns has that dpid.
+    /// Returns `false` when no switch this shard owns has that dpid.
     pub fn flush_cookie_on(&self, sim: &mut Sim, dpid: u64, cookie: u64) -> bool {
         let (conn, delay) = {
             let mut inner = self.inner.borrow_mut();
@@ -1735,7 +1252,6 @@ impl DataShard {
                 return false;
             };
             inner.metrics.flushes += 1;
-            inner.cache.invalidate_policy(PolicyId(cookie));
             inner.cancel_pending_adds(cookie, Some(conn));
             let delay = inner.config.bus_latency.sample(sim.rng()) + inner.config.install_latency;
             (conn, delay)

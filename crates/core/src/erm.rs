@@ -22,26 +22,30 @@
 //! `resolve_flow` / `spoof_check` are the control plane's hottest reads. A
 //! flat pair-set store would make each of them a linear scan over *all*
 //! bindings (with a clone and a sort per call), turning the Figure-4 load
-//! sweep superlinear in the binding count. The store therefore keeps
-//! **forward and reverse secondary indexes** — `ip→hosts`, `host→users`,
-//! `user→hosts`, `host→ips`, `ip→macs` — maintained incrementally by
-//! [`EntityResolver::bind`] / [`EntityResolver::unbind`]:
+//! sweep superlinear in the binding count. The store therefore keeps one
+//! index per binding class, each keyed in the direction resolution reads
+//! it — `ip→hosts`, `host→users`, `ip→macs`, `(switch, mac)→port` — and
+//! nothing else: no index from a name back to the addresses it reaches,
+//! since no decision reads one. [`EntityResolver::bind`] /
+//! [`EntityResolver::unbind`] maintain them incrementally:
 //!
 //! * each index value is a `BTreeSet`, so iteration is already sorted and
 //!   deterministic — no per-query sort;
 //! * lookups are O(1) amortized hash probes returning **borrowed** sets
 //!   (`*_of_*_ref` accessors); the PCP path allocates only when it
 //!   actually compiles an [`EndpointView`] for a decision;
-//! * `bind` returns whether the store changed, which the DFI decision
-//!   cache uses to invalidate only on *effective* binding churn (the
-//!   per-packet MAC-location refresh is almost always a no-op).
+//! * `bind` and `unbind` return whether the store changed — a new pair, a
+//!   moved location, an expired pair — which keeps the per-class pair
+//!   counts behind [`EntityResolver::binding_count`] exact and tells a
+//!   caller an effective event from a re-delivery (the per-packet
+//!   MAC-location refresh is almost always a no-op).
 //!
-//! The legacy `Vec`-returning accessors survive for tests and harnesses;
-//! they clone from the same indexes.
+//! The `Vec`-returning accessors serve tests and harnesses; they clone
+//! from the same indexes.
 
 use crate::policy::EndpointView;
 use dfi_packet::{MacAddr, PacketHeaders};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 
 /// The four binding classes the ERM tracks.
@@ -96,8 +100,6 @@ pub struct ErmIndexSizes {
     pub ips_with_hosts: usize,
     /// Distinct hosts with at least one logged-on user.
     pub hosts_with_users: usize,
-    /// Distinct users logged on somewhere.
-    pub users_with_hosts: usize,
     /// Distinct IPs with at least one DHCP MAC binding.
     pub ips_with_macs: usize,
     /// (switch, MAC) location entries.
@@ -134,37 +136,13 @@ fn index_remove<K: std::hash::Hash + Eq, V: Ord>(
     }
 }
 
-fn name_ref_add(index: &mut HashMap<String, BTreeMap<Ipv4Addr, u32>>, name: String, ip: Ipv4Addr) {
-    *index.entry(name).or_default().entry(ip).or_insert(0) += 1;
-}
-
-fn name_ref_remove(index: &mut HashMap<String, BTreeMap<Ipv4Addr, u32>>, name: &str, ip: Ipv4Addr) {
-    if let Some(ips) = index.get_mut(name) {
-        if let Some(count) = ips.get_mut(&ip) {
-            *count -= 1;
-            if *count == 0 {
-                ips.remove(&ip);
-            }
-        }
-        if ips.is_empty() {
-            index.remove(name);
-        }
-    }
-}
-
-/// The binding store: forward/reverse secondary indexes per binding class.
+/// The binding store: one resolution-direction index per binding class.
 #[derive(Default)]
 pub struct EntityResolver {
     /// hostname↔IP, keyed by IP (the resolution direction).
     ip_to_hosts: HashMap<Ipv4Addr, BTreeSet<String>>,
-    /// Reverse index (binding-event → affected IPs), keyed by every name
-    /// form resolution exposes: the bound FQDN *and* its short name.
-    /// Values are refcounts because two FQDNs can share a short name.
-    name_to_ips: HashMap<String, BTreeMap<Ipv4Addr, u32>>,
     /// username↔hostname, keyed by host (the resolution direction).
     host_to_users: HashMap<String, BTreeSet<String>>,
-    /// username↔hostname reverse index.
-    user_to_hosts: HashMap<String, BTreeSet<String>>,
     /// IP↔MAC, keyed by IP (the anti-spoofing direction).
     ip_to_macs: HashMap<Ipv4Addr, BTreeSet<MacAddr>>,
     /// (dpid, mac) → port; at most one port per MAC per switch.
@@ -186,26 +164,17 @@ impl EntityResolver {
     }
 
     /// Applies a binding event (add). Returns `true` when the store
-    /// changed (the pair was not already bound / the location moved) —
-    /// the signal the DFI decision cache keys invalidation on.
+    /// changed (the pair was not already bound / the location moved).
     pub fn bind(&mut self, binding: Binding) -> bool {
         match binding {
             Binding::UserHost { user, host } => {
-                let changed = index_insert(&mut self.host_to_users, host.clone(), user.clone());
-                index_insert(&mut self.user_to_hosts, user, host);
+                let changed = index_insert(&mut self.host_to_users, host, user);
                 self.n_user_host += changed as usize;
                 changed
             }
             Binding::HostIp { host, ip } => {
-                let changed = index_insert(&mut self.ip_to_hosts, ip, host.clone());
-                if changed {
-                    self.n_host_ip += 1;
-                    let short = short_name(&host).to_string();
-                    if short != host {
-                        name_ref_add(&mut self.name_to_ips, short, ip);
-                    }
-                    name_ref_add(&mut self.name_to_ips, host, ip);
-                }
+                let changed = index_insert(&mut self.ip_to_hosts, ip, host);
+                self.n_host_ip += changed as usize;
                 changed
             }
             Binding::IpMac { ip, mac } => {
@@ -227,20 +196,12 @@ impl EntityResolver {
         match binding {
             Binding::UserHost { user, host } => {
                 let changed = index_remove(&mut self.host_to_users, host, user);
-                index_remove(&mut self.user_to_hosts, user, host);
                 self.n_user_host -= changed as usize;
                 changed
             }
             Binding::HostIp { host, ip } => {
                 let changed = index_remove(&mut self.ip_to_hosts, ip, host);
-                if changed {
-                    self.n_host_ip -= 1;
-                    let short = short_name(host);
-                    if short != host {
-                        name_ref_remove(&mut self.name_to_ips, short, *ip);
-                    }
-                    name_ref_remove(&mut self.name_to_ips, host, *ip);
-                }
+                self.n_host_ip -= changed as usize;
                 changed
             }
             Binding::IpMac { ip, mac } => {
@@ -270,23 +231,6 @@ impl EntityResolver {
         self.host_to_users.get(host).unwrap_or(&EMPTY_NAMES)
     }
 
-    /// Hosts a user is currently logged onto (borrowed, sorted).
-    #[must_use]
-    pub fn hosts_of_user_ref(&self, user: &str) -> &BTreeSet<String> {
-        self.user_to_hosts.get(user).unwrap_or(&EMPTY_NAMES)
-    }
-
-    /// IPs a hostname (FQDN or short form) currently resolves to, sorted.
-    /// Reverse index used to map binding-churn events — in particular SIEM
-    /// session events, which use short machine names — to affected flows.
-    #[must_use]
-    pub fn ips_of_host(&self, host: &str) -> Vec<Ipv4Addr> {
-        self.name_to_ips
-            .get(host)
-            .map(|ips| ips.keys().copied().collect())
-            .unwrap_or_default()
-    }
-
     // ------------------------------------------------------------------
     // Cloning accessors (tests, harnesses, diagnostics)
     // ------------------------------------------------------------------
@@ -301,12 +245,6 @@ impl EntityResolver {
     #[must_use]
     pub fn users_of_host(&self, host: &str) -> Vec<String> {
         self.users_of_host_ref(host).iter().cloned().collect()
-    }
-
-    /// Hosts a user is currently logged onto.
-    #[must_use]
-    pub fn hosts_of_user(&self, user: &str) -> Vec<String> {
-        self.hosts_of_user_ref(user).iter().cloned().collect()
     }
 
     /// MACs the authoritative DHCP source binds to an IP.
@@ -420,7 +358,6 @@ impl EntityResolver {
         ErmIndexSizes {
             ips_with_hosts: self.ip_to_hosts.len(),
             hosts_with_users: self.host_to_users.len(),
-            users_with_hosts: self.user_to_hosts.len(),
             ips_with_macs: self.ip_to_macs.len(),
             mac_locations: self.mac_location.len(),
             bindings: self.binding_count(),
@@ -505,6 +442,14 @@ mod tests {
             host: "alice-laptop".into(),
         });
         assert_eq!(e.users_of_host("alice-laptop"), vec!["bob"]);
+        // Unbinding a host's last address drops the IP's entry, so index
+        // sizes reflect live keys.
+        e.unbind(&Binding::HostIp {
+            host: "alice-laptop.corp.local".into(),
+            ip: IP1,
+        });
+        assert!(e.hosts_of_ip(IP1).is_empty());
+        assert_eq!(e.index_sizes().ips_with_hosts, 0);
     }
 
     #[test]
@@ -522,8 +467,8 @@ mod tests {
             user: "bob".into(),
             host: "h1".into(),
         });
-        assert_eq!(e.hosts_of_user("alice"), vec!["h1", "h2"]);
         assert_eq!(e.users_of_host("h1"), vec!["alice", "bob"]);
+        assert_eq!(e.users_of_host("h2"), vec!["alice"]);
     }
 
     #[test]
@@ -631,58 +576,11 @@ mod tests {
     }
 
     #[test]
-    fn reverse_index_maps_host_to_ips() {
-        let mut e = populated();
-        assert_eq!(e.ips_of_host("alice-laptop.corp.local"), vec![IP1]);
-        assert_eq!(
-            e.ips_of_host("alice-laptop"),
-            vec![IP1],
-            "short form indexed too (SIEM events use it)"
-        );
-        e.unbind(&Binding::HostIp {
-            host: "alice-laptop.corp.local".into(),
-            ip: IP1,
-        });
-        assert!(e.ips_of_host("alice-laptop.corp.local").is_empty());
-        assert!(e.ips_of_host("alice-laptop").is_empty());
-        // Empty sets are dropped so index sizes reflect live keys.
-        assert_eq!(e.index_sizes().ips_with_hosts, 0);
-    }
-
-    #[test]
-    fn shared_short_name_survives_partial_unbind() {
-        let mut e = EntityResolver::new();
-        e.bind(Binding::HostIp {
-            host: "h1.a.local".into(),
-            ip: IP1,
-        });
-        e.bind(Binding::HostIp {
-            host: "h1.b.local".into(),
-            ip: IP1,
-        });
-        assert_eq!(e.ips_of_host("h1"), vec![IP1]);
-        e.unbind(&Binding::HostIp {
-            host: "h1.a.local".into(),
-            ip: IP1,
-        });
-        // The other FQDN still resolves the short name to IP1: the reverse
-        // index must keep the link (refcounted) or binding churn would
-        // miss invalidations.
-        assert_eq!(e.ips_of_host("h1"), vec![IP1]);
-        e.unbind(&Binding::HostIp {
-            host: "h1.b.local".into(),
-            ip: IP1,
-        });
-        assert!(e.ips_of_host("h1").is_empty());
-    }
-
-    #[test]
     fn index_sizes_snapshot() {
         let e = populated();
         let s = e.index_sizes();
         assert_eq!(s.ips_with_hosts, 1);
         assert_eq!(s.hosts_with_users, 1);
-        assert_eq!(s.users_with_hosts, 1);
         assert_eq!(s.ips_with_macs, 1);
         assert_eq!(s.mac_locations, 1);
         assert_eq!(s.bindings, 4);

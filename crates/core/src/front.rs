@@ -25,8 +25,7 @@
 //!
 //! 1. gather the shards' default-deny notes (when the commit inserts);
 //! 2. [`PolicyManager::commit`];
-//! 3. the flush fan-out: cache invalidation plus cookie delete, on every
-//!    shard;
+//! 3. the flush fan-out: a cookie delete on every shard's switches;
 //! 4. the gate, whose finding events are announced on the bus of a mode
 //!    that has one;
 //! 5. compile once;
@@ -94,13 +93,11 @@ pub trait ShardLink {
     /// shard had issued a default deny since the last take.
     fn take_default_deny_notes(&mut self) -> bool;
 
-    /// Drops each id's memoized decisions and deletes its cookie from
-    /// every switch, shard by shard.
+    /// Deletes each id's cookie from every switch, shard by shard.
     fn flush(&mut self, cx: &mut Self::Cx, ids: &[PolicyId]);
 
-    /// Serves `snapshot` on every shard before returning. A recovery also
-    /// expires every memoized decision older than the snapshot.
-    fn install(&mut self, snapshot: &Arc<PolicySnapshot>, recovery: bool);
+    /// Serves `snapshot` on every shard before returning.
+    fn install(&mut self, snapshot: &Arc<PolicySnapshot>);
 
     /// Delivers one binding batch to shard `shard`.
     fn bindings(&mut self, shard: usize, batch: Cow<'_, BindingBatch>);
@@ -239,11 +236,10 @@ impl<L: ShardLink> ControlFront<L> {
         true
     }
 
-    /// Deletes `id`'s derived flow rules from every switch and drops its
-    /// memoized decisions — the paper's consistency mechanism ("flow rules
-    /// are removed quickly without paying the latency and performance
-    /// costs of using hard timeouts"). Not gated: it only removes
-    /// permissions.
+    /// Deletes `id`'s derived flow rules from every switch — the paper's
+    /// consistency mechanism ("flow rules are removed quickly without
+    /// paying the latency and performance costs of using hard timeouts").
+    /// Not gated: it only removes permissions.
     pub fn flush_policy_rules(&mut self, cx: &mut L::Cx, id: PolicyId) {
         self.flush(cx, &[id]);
     }
@@ -291,10 +287,10 @@ impl<L: ShardLink> ControlFront<L> {
     }
 
     /// Certify → compile once → publish everywhere, or defer on refusal.
-    /// The first clean publication after a refusal is a recovery: shards
-    /// expire every older memoized decision, and the deferred cookies are
-    /// re-flushed, because flows decided under the stale snapshot may have
-    /// re-installed rules the deferred mutations outrank.
+    /// The first clean publication after a refusal is a recovery: the
+    /// deferred cookies are re-flushed, because flows decided under the
+    /// stale snapshot may have re-installed rules the deferred mutations
+    /// outrank.
     fn republish(&mut self, cx: &mut L::Cx, flushed: &[PolicyId]) {
         let verdict = match self.gate.as_mut() {
             Some(gate) => gate(&mut self.pm),
@@ -305,7 +301,7 @@ impl<L: ShardLink> ControlFront<L> {
         }
         if verdict.witnesses.is_empty() {
             let recovered = self.deferred.take();
-            let snap = self.publish(recovered.is_some());
+            let snap = self.publish();
             if let Some(ids) = recovered {
                 self.flush(cx, &ids.into_iter().collect::<Vec<_>>());
             }
@@ -330,9 +326,9 @@ impl<L: ShardLink> ControlFront<L> {
 
     /// Compiles the Policy Manager once under the next epoch and serves it
     /// on every shard; the retired snapshot joins the retention ring.
-    fn publish(&mut self, recovery: bool) -> Arc<PolicySnapshot> {
+    fn publish(&mut self) -> Arc<PolicySnapshot> {
         let snap = Arc::new(PolicySnapshot::compile(&self.pm, self.served.epoch() + 1));
-        self.link.install(&snap, recovery);
+        self.link.install(&snap);
         self.metrics.snapshot_fanouts += 1;
         let retired = std::mem::replace(&mut self.served, Arc::clone(&snap));
         if self.retention > 0 {
@@ -364,7 +360,7 @@ impl<L: ShardLink> ControlFront<L> {
         let revision = self.pm.revision();
         let r = f(&mut self.pm);
         if self.pm.revision() != revision {
-            self.publish(false);
+            self.publish();
         }
         r
     }
@@ -398,11 +394,10 @@ impl<L: ShardLink> ControlFront<L> {
         self.metrics.clone()
     }
 
-    /// Fills the fields of a merged shard report that only the front
-    /// knows: certification refusals and the Policy Manager's index.
+    /// Fills the field of a merged shard report that only the front
+    /// knows: certification refusals.
     pub(crate) fn fill_metrics(&self, m: &mut DfiMetrics) {
         m.snapshot_refusals = self.metrics.snapshot_refusals;
-        m.policy_index = self.pm.index_stats();
     }
 
     // ------------------------------------------------------------------
@@ -503,7 +498,7 @@ mod tests {
             false
         }
         fn flush(&mut self, _: &mut (), _: &[PolicyId]) {}
-        fn install(&mut self, snapshot: &Arc<PolicySnapshot>, _: bool) {
+        fn install(&mut self, snapshot: &Arc<PolicySnapshot>) {
             self.installed.push(snapshot.epoch());
         }
         fn bindings(&mut self, shard: usize, batch: Cow<'_, BindingBatch>) {

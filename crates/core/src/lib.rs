@@ -56,6 +56,7 @@ mod dfi;
 pub mod erm;
 pub mod events;
 pub mod front;
+mod memo;
 pub mod par;
 pub mod pdp;
 pub mod policy;
@@ -73,6 +74,6 @@ pub use par::{
     RelayFrame, WorkerWorld, Workers, WorldBuilder,
 };
 pub use shard::{Dfi, DirectShards};
-// Exported for the criterion bench harness; not part of the stable API.
+// The wall-clock benchmark's memo model; no proxy uses it.
 #[doc(hidden)]
-pub use dfi::{CachedDecision, DecisionCache, FlowKey};
+pub use memo::{CachedDecision, DecisionCache, FlowKey};

@@ -100,14 +100,10 @@ enum Cmd {
     Relay { boundary: u64, frame: Vec<u8> },
     /// Epoch-stamped binding fanout (stale stamps ignored by the shard).
     Bindings(BindingBatch),
-    /// Cache invalidation + switch-side cookie delete for each id.
+    /// Switch-side cookie delete for each id.
     Flushes(Vec<PolicyId>),
-    /// Serve `snapshot`; ack when serving it. A recovery also expires the
-    /// memoized decisions older than it.
-    Epoch {
-        snapshot: Arc<PolicySnapshot>,
-        recovery: bool,
-    },
+    /// Serve the snapshot; ack when serving it.
+    Epoch(Arc<PolicySnapshot>),
     /// Report (and clear) the hot path's default-deny note.
     TakeNote,
     /// Run a switch-targeted repair step on the switch it names.
@@ -150,8 +146,8 @@ pub struct DrainReport {
 /// Fleet-wide aggregate of one [`ParallelShardedDfi::drain`] fixpoint.
 #[derive(Clone, Debug, Default)]
 pub struct FleetReport {
-    /// Every shard's [`DfiMetrics`] merged, plus the front's refusal count
-    /// and Policy Manager index.
+    /// Every shard's [`DfiMetrics`] merged, plus the front's refusal
+    /// count.
     pub metrics: DfiMetrics,
     /// Each shard's own [`DfiMetrics`], shard order (for per-worker
     /// baselines, e.g. timing-window latency sampling).
@@ -297,10 +293,9 @@ impl ShardLink for Workers {
 
     /// The epoch barrier: the snapshot goes down every channel, and no
     /// later command of any kind is admitted until every worker acks.
-    fn install(&mut self, snapshot: &Arc<PolicySnapshot>, recovery: bool) {
+    fn install(&mut self, snapshot: &Arc<PolicySnapshot>) {
         for w in 0..self.workers.len() {
-            let snapshot = Arc::clone(snapshot);
-            self.send(w, Cmd::Epoch { snapshot, recovery });
+            self.send(w, Cmd::Epoch(Arc::clone(snapshot)));
         }
         for w in 0..self.workers.len() {
             match self.recv(w) {
@@ -680,9 +675,9 @@ fn worker_main(
                     shard.flush_policy(&mut sim, id);
                 }
             }
-            Cmd::Epoch { snapshot, recovery } => {
+            Cmd::Epoch(snapshot) => {
                 let epoch = snapshot.epoch();
-                shard.install(snapshot, recovery);
+                shard.install(snapshot);
                 replies
                     .send(Reply::EpochAck(epoch))
                     .expect("front-end hung up");

@@ -28,41 +28,30 @@
 //!
 //! # Lookup performance
 //!
-//! `query`/`query_class` run on every packet-in, so they must not scan the
-//! whole rule table. The store keeps, besides the id-keyed `rules` map, a
-//! **bucket index**: each rule is filed under its most selective pinned
-//! endpoint identifier (precedence: dst username → dst hostname → dst IP →
-//! src username → src hostname → src IP; rules pinning none of those land
-//! in a catch-all *scan* bucket). Each bucket is a small vec of
-//! `(priority, id)` entries kept sorted by `(priority desc, id asc)`.
+//! The manager is a rule store plus a linear oracle; it serves no
+//! packet-in. Flows are decided by the [`PolicySnapshot`] the control
+//! front compiles from the store once per certified commit, which files
+//! every rule under its most selective pinned identifier and reaches a
+//! decision without scanning the rule table (see
+//! `crate::policy::snapshot`). The store therefore keeps only the
+//! id-keyed rule map.
 //!
-//! A query probes only the buckets named by the flow's own identifiers
-//! (each bound username/hostname plus the packet IPs, plus the scan
-//! bucket), k-way-merges them in `(priority desc, id asc)` order, and
-//! stops at the end of the first priority group containing a match —
-//! candidate rules below the winning priority are never touched. With
-//! selective policies this makes a decision O(candidates in the matching
-//! buckets' top priority groups), independent of total rule count; the
-//! worst case (every rule endpoint-wildcarded) degenerates to the scan
-//! bucket, i.e. exactly the old linear scan.
+//! [`PolicyManager::query_linear`] / [`PolicyManager::query_class_linear`]
+//! are the arbitration semantics, written as full scans: highest priority
+//! wins; within a priority group a Deny beats any Allow; otherwise the
+//! first match in id order wins; no match → default deny. They are the
+//! oracles the compiled classifier is proven **bit-identical** to
+//! (`tests/proptest_policy.rs`) and the benchmark's output check; they
+//! never run on the packet path.
 //!
-//! Arbitration semantics are **bit-identical** to a linear scan in id
-//! order: highest priority wins; within a priority group the first Deny in
-//! id order beats any Allow; otherwise the first match in id order wins;
-//! no match → default deny. [`PolicyManager::query_linear`] /
-//! [`PolicyManager::query_class_linear`] keep the original scans as
-//! reference models; `tests/proptest_policy.rs` proves equivalence on
-//! random rule sets, and `micro_hotpaths.rs` benches the two side by side.
-//!
-//! Insert-time conflict detection remains a deliberate linear pass: it
+//! Insert-time conflict detection is a deliberate linear pass too: it
 //! runs per *policy change* (rare), not per packet, and must consider
 //! every stored rule anyway.
 
-use crate::policy::model::{FlowView, PolicyAction, PolicyRule, Wild, WildName};
+use crate::policy::model::{FlowView, PolicyAction, PolicyRule, Wild};
 use crate::policy::PolicySnapshot;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap};
-use std::net::Ipv4Addr;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// `true` when `rule` admits `flow`'s identifiers with L4 ports ignored —
@@ -194,103 +183,11 @@ pub struct Decision {
     pub policy: PolicyId,
 }
 
-/// The bucket a rule is filed under: its most selective pinned endpoint
-/// identifier. Name keys are lowercased because name matching is ASCII
-/// case-insensitive.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-enum BucketKey {
-    DstUser(String),
-    DstHost(String),
-    DstIp(Ipv4Addr),
-    SrcUser(String),
-    SrcHost(String),
-    SrcIp(Ipv4Addr),
-    /// No user/host/IP pinned on either side: always a query candidate.
-    Scan,
-}
-
-fn name_key(name: &WildName) -> Option<String> {
-    match name {
-        WildName::Any => None,
-        WildName::Is(s) => Some(s.to_ascii_lowercase()),
-    }
-}
-
-fn bucket_key(rule: &PolicyRule) -> BucketKey {
-    if let Some(u) = name_key(&rule.dst.username) {
-        BucketKey::DstUser(u)
-    } else if let Some(h) = name_key(&rule.dst.hostname) {
-        BucketKey::DstHost(h)
-    } else if let Some(ip) = rule.dst.ip.value() {
-        BucketKey::DstIp(ip)
-    } else if let Some(u) = name_key(&rule.src.username) {
-        BucketKey::SrcUser(u)
-    } else if let Some(h) = name_key(&rule.src.hostname) {
-        BucketKey::SrcHost(h)
-    } else if let Some(ip) = rule.src.ip.value() {
-        BucketKey::SrcIp(ip)
-    } else {
-        BucketKey::Scan
-    }
-}
-
-/// One bucket entry; buckets are sorted by `(priority desc, id asc)`.
-type BucketEntry = (u32, PolicyId);
-
-fn entry_key(e: &BucketEntry) -> (Reverse<u32>, PolicyId) {
-    (Reverse(e.0), e.1)
-}
-
-/// K-way merge over pre-sorted bucket slices, yielding entries in
-/// `(priority desc, id asc)` order. The candidate set is small (one bucket
-/// per flow identifier plus the scan bucket), so a linear min over cursor
-/// heads beats a heap.
-struct MergedCandidates<'a> {
-    cursors: Vec<&'a [BucketEntry]>,
-}
-
-impl Iterator for MergedCandidates<'_> {
-    type Item = BucketEntry;
-
-    fn next(&mut self) -> Option<BucketEntry> {
-        let mut best: Option<(usize, BucketEntry)> = None;
-        for (i, cursor) in self.cursors.iter().enumerate() {
-            if let Some(&head) = cursor.first() {
-                if best.is_none_or(|(_, b)| entry_key(&head) < entry_key(&b)) {
-                    best = Some((i, head));
-                }
-            }
-        }
-        let (i, entry) = best?;
-        self.cursors[i] = &self.cursors[i][1..];
-        Some(entry)
-    }
-}
-
-/// Observability snapshot of the bucket index (printed by the bench
-/// harness summaries).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PolicyIndexStats {
-    /// Stored rules.
-    pub rules: usize,
-    /// Live buckets (including the scan bucket when non-empty).
-    pub buckets: usize,
-    /// Rules in the catch-all scan bucket (always candidates).
-    pub scan_bucket_len: usize,
-    /// Cumulative candidate entries examined across all queries.
-    pub candidates_scanned: u64,
-    /// Queries served.
-    pub queries: u64,
-}
-
 /// The Policy Manager.
 #[derive(Clone, Default)]
 pub struct PolicyManager {
     rules: BTreeMap<PolicyId, StoredPolicy>,
-    buckets: HashMap<BucketKey, Vec<BucketEntry>>,
     next_id: u64,
-    queries: u64,
-    candidates_scanned: u64,
     /// `true` while default-deny decisions issued since the last flush of
     /// cookie `DEFAULT_DENY_ID` may still be cached on switches.
     default_deny_outstanding: bool,
@@ -308,10 +205,7 @@ impl PolicyManager {
     pub fn new() -> PolicyManager {
         PolicyManager {
             rules: BTreeMap::new(),
-            buckets: HashMap::new(),
             next_id: 1,
-            queries: 0,
-            candidates_scanned: 0,
             default_deny_outstanding: false,
             revision: 0,
             journal: Vec::new(),
@@ -386,10 +280,6 @@ impl PolicyManager {
         }
         flush.sort_unstable();
         flush.dedup();
-        let entry = (priority, id);
-        let bucket = self.buckets.entry(bucket_key(&rule)).or_default();
-        let pos = bucket.partition_point(|e| entry_key(e) < entry_key(&entry));
-        bucket.insert(pos, entry);
         let stored = StoredPolicy {
             id,
             rule,
@@ -407,13 +297,6 @@ impl PolicyManager {
         let Some(stored) = self.rules.remove(&id) else {
             return false;
         };
-        let key = bucket_key(&stored.rule);
-        if let Some(bucket) = self.buckets.get_mut(&key) {
-            bucket.retain(|&(_, bid)| bid != id);
-            if bucket.is_empty() {
-                self.buckets.remove(&key);
-            }
-        }
         self.record(|| PolicyDelta::Revoked(stored));
         true
     }
@@ -462,14 +345,6 @@ impl PolicyManager {
         }
         flush.sort_unstable();
         flush.dedup();
-        // Re-file the bucket entry under the new priority.
-        let key = bucket_key(&me.rule);
-        if let Some(bucket) = self.buckets.get_mut(&key) {
-            bucket.retain(|&(_, bid)| bid != id);
-            let entry = (new_priority, id);
-            let pos = bucket.partition_point(|e| entry_key(e) < entry_key(&entry));
-            bucket.insert(pos, entry);
-        }
         let stored = self.rules.get_mut(&id).expect("checked above");
         stored.priority = new_priority;
         let snapshot = stored.clone();
@@ -519,110 +394,20 @@ impl PolicyManager {
         out
     }
 
-    /// Records that a default-deny flow rule (cookie [`DEFAULT_DENY_ID`])
-    /// was installed outside a policy query — e.g. the PCP's anti-spoofing
-    /// drop — so the next conflicting Allow insert flushes cookie 0.
+    /// Records that default-deny flow rules (cookie [`DEFAULT_DENY_ID`])
+    /// may be cached on switches — the data shards note every default deny
+    /// they issue, a classification that fell through or the PCP's
+    /// anti-spoofing drop, and the front forwards the note — so the next
+    /// conflicting Allow insert flushes cookie 0.
     pub fn note_default_deny_cached(&mut self) {
         self.default_deny_outstanding = true;
     }
 
-    /// The buckets a flow's identifiers select, as merge cursors.
-    fn candidate_cursors(&self, flow: &FlowView) -> MergedCandidates<'_> {
-        let mut keys: Vec<BucketKey> = Vec::with_capacity(8);
-        keys.push(BucketKey::Scan);
-        for u in &flow.dst.usernames {
-            keys.push(BucketKey::DstUser(u.to_ascii_lowercase()));
-        }
-        for h in &flow.dst.hostnames {
-            keys.push(BucketKey::DstHost(h.to_ascii_lowercase()));
-        }
-        if let Some(ip) = flow.dst.ip {
-            keys.push(BucketKey::DstIp(ip));
-        }
-        for u in &flow.src.usernames {
-            keys.push(BucketKey::SrcUser(u.to_ascii_lowercase()));
-        }
-        for h in &flow.src.hostnames {
-            keys.push(BucketKey::SrcHost(h.to_ascii_lowercase()));
-        }
-        if let Some(ip) = flow.src.ip {
-            keys.push(BucketKey::SrcIp(ip));
-        }
-        // Lowercasing can collide distinct bound names; a duplicate key
-        // would yield its bucket's entries twice.
-        keys.sort_unstable();
-        keys.dedup();
-        MergedCandidates {
-            cursors: keys
-                .iter()
-                .filter_map(|k| self.buckets.get(k))
-                .map(Vec::as_slice)
-                .collect(),
-        }
-    }
-
-    /// Decides a flow against current policy: the highest-priority matching
-    /// rule wins; among equal-priority matches a Deny beats an Allow ("err
-    /// on the side of stopping unauthorized flows"); no match → default
-    /// deny.
-    ///
-    /// Probes only the flow's candidate buckets and stops at the end of
-    /// the first priority group containing a match; equivalent to
-    /// [`PolicyManager::query_linear`] by construction and by property
-    /// test.
-    pub fn query(&mut self, flow: &FlowView) -> Decision {
-        self.queries += 1;
-        let mut scanned = 0u64;
-        let decision = {
-            let mut group_pri: Option<u32> = None;
-            let mut group_best: Option<&StoredPolicy> = None;
-            for (pri, id) in self.candidate_cursors(flow) {
-                if group_pri != Some(pri) {
-                    if group_best.is_some() {
-                        // Leaving a priority group that already produced a
-                        // match: lower-priority candidates cannot win.
-                        break;
-                    }
-                    group_pri = Some(pri);
-                }
-                scanned += 1;
-                let sp = &self.rules[&id];
-                if !sp.rule.matches(flow) {
-                    continue;
-                }
-                if sp.rule.action == PolicyAction::Deny {
-                    // First matching Deny in id order: wins its group
-                    // outright, and no higher group matched.
-                    group_best = Some(sp);
-                    break;
-                }
-                if group_best.is_none() {
-                    group_best = Some(sp);
-                }
-            }
-            match group_best {
-                Some(sp) => Decision {
-                    action: sp.rule.action,
-                    policy: sp.id,
-                },
-                None => Decision {
-                    action: PolicyAction::Deny,
-                    policy: DEFAULT_DENY_ID,
-                },
-            }
-        };
-        self.candidates_scanned += scanned;
-        if decision.policy == DEFAULT_DENY_ID {
-            self.default_deny_outstanding = true;
-        }
-        decision
-    }
-
-    /// Reference implementation of [`PolicyManager::query`]: the original
-    /// full linear scan. Kept as the differential-testing oracle
-    /// (`proptest_policy::indexed_query_matches_linear_reference`) and the
-    /// baseline side of the `micro_hotpaths` benches. Does not touch
-    /// counters.
+    /// Decides a flow against current policy by a full scan: the
+    /// highest-priority matching rule wins; among equal-priority matches a
+    /// Deny beats an Allow ("err on the side of stopping unauthorized
+    /// flows"); no match → default deny. The oracle
+    /// [`PolicySnapshot::classify`] is proven bit-identical to.
     #[must_use]
     pub fn query_linear(&self, flow: &FlowView) -> Decision {
         let mut best: Option<&StoredPolicy> = None;
@@ -659,114 +444,17 @@ impl PolicyManager {
 
     /// Decides the whole *port-wildcard class* of a flow at once, when that
     /// is provably safe — the core of the CAB-ACME-style wildcard-caching
-    /// extension the paper sketches in §III-B.
+    /// extension the paper sketches in §III-B — by a full scan.
     ///
     /// The class is "every flow identical to `flow` except for its L4
     /// ports". Returns `Some(decision)` only when every flow in the class
     /// is guaranteed the same verdict under current policy, i.e. when no
-    /// policy that could match any class member pins a port (the paper's
-    /// "key challenge … to avoid caching wildcarded flow rules that match
-    /// packets for which higher-priority policy rules may exist" —
-    /// answered conservatively: any port-sensitive overlap disqualifies
-    /// the class). Returns `None` when the caller must fall back to an
-    /// exact-match decision via [`PolicyManager::query`].
-    ///
-    /// Uses the same bucket merge as [`PolicyManager::query`]: iteration
-    /// stops at the end of the priority group containing the port-free
-    /// winner, because lower-priority port-pinning rules can never
-    /// override it.
-    pub fn query_class(&mut self, flow: &FlowView) -> Option<Decision> {
-        self.queries += 1;
-        let mut scanned = 0u64;
-        let result = {
-            // Port-free winner of the highest priority group that has one.
-            let mut winner: Option<&StoredPolicy> = None;
-            // A port-pinning candidate admitted in a group strictly above
-            // the winner's: always overrides some class member.
-            let mut pin_above = false;
-            // A port-pinning Allow admitted anywhere (splits a class whose
-            // port-free verdict is the default deny).
-            let mut pin_allow_anywhere = false;
-            // Port-pinning Deny in the current group (splits an equal-
-            // priority Allow winner).
-            let mut group_pin_deny = false;
-            let mut group_has_pin = false;
-            let mut group_pri: Option<u32> = None;
-            for (pri, id) in self.candidate_cursors(flow) {
-                if group_pri != Some(pri) {
-                    if winner.is_some() {
-                        break;
-                    }
-                    pin_above |= group_has_pin;
-                    group_has_pin = false;
-                    group_pin_deny = false;
-                    group_pri = Some(pri);
-                }
-                scanned += 1;
-                let sp = &self.rules[&id];
-                if !rule_admits_ignoring_ports(&sp.rule, flow) {
-                    continue;
-                }
-                if rule_pins_a_port(&sp.rule) {
-                    group_has_pin = true;
-                    match sp.rule.action {
-                        PolicyAction::Deny => group_pin_deny = true,
-                        PolicyAction::Allow => pin_allow_anywhere = true,
-                    }
-                    continue;
-                }
-                if sp.rule.action == PolicyAction::Deny {
-                    // First port-free Deny in id order: final winner (an
-                    // equal-priority pin can only override an Allow, and
-                    // lower groups are outranked).
-                    winner = Some(sp);
-                    break;
-                }
-                if winner.is_none() {
-                    winner = Some(sp);
-                }
-            }
-            match winner {
-                Some(w) => {
-                    // A pin above the winner's group always splits; a pin
-                    // in the winner's own group splits an Allow winner
-                    // when it denies.
-                    if pin_above || (w.rule.action == PolicyAction::Allow && group_pin_deny) {
-                        None
-                    } else {
-                        Some(Decision {
-                            action: w.rule.action,
-                            policy: w.id,
-                        })
-                    }
-                }
-                None => {
-                    // Winner is the default deny: a pinned Deny agrees
-                    // with it (verdict stays uniform); a pinned Allow
-                    // splits the class.
-                    if pin_allow_anywhere {
-                        None
-                    } else {
-                        Some(Decision {
-                            action: PolicyAction::Deny,
-                            policy: DEFAULT_DENY_ID,
-                        })
-                    }
-                }
-            }
-        };
-        self.candidates_scanned += scanned;
-        if let Some(d) = &result {
-            if d.policy == DEFAULT_DENY_ID {
-                self.default_deny_outstanding = true;
-            }
-        }
-        result
-    }
-
-    /// Reference implementation of [`PolicyManager::query_class`]: the
-    /// original full linear scan, kept as the differential-testing oracle
-    /// and bench baseline. Does not touch counters.
+    /// policy that could match any class member pins a port in a way that
+    /// could override the port-free winner (the paper's "key challenge …
+    /// to avoid caching wildcarded flow rules that match packets for which
+    /// higher-priority policy rules may exist"). Returns `None` when the
+    /// caller must fall back to an exact-match decision. The oracle
+    /// [`PolicySnapshot::classify_class`] is proven bit-identical to.
     #[must_use]
     pub fn query_class_linear(&self, flow: &FlowView) -> Option<Decision> {
         // Split candidates that admit the flow's non-port identifiers into
@@ -839,23 +527,6 @@ impl PolicyManager {
         self.rules.is_empty()
     }
 
-    /// Queries served (for utilization accounting).
-    #[must_use]
-    pub fn query_count(&self) -> u64 {
-        self.queries
-    }
-
-    /// Snapshot of the bucket index and its scan accounting.
-    pub fn index_stats(&self) -> PolicyIndexStats {
-        PolicyIndexStats {
-            rules: self.rules.len(),
-            buckets: self.buckets.len(),
-            scan_bucket_len: self.buckets.get(&BucketKey::Scan).map_or(0, Vec::len),
-            candidates_scanned: self.candidates_scanned,
-            queries: self.queries,
-        }
-    }
-
     /// A stored policy by id.
     #[must_use]
     pub fn get(&self, id: PolicyId) -> Option<&StoredPolicy> {
@@ -881,6 +552,15 @@ mod tests {
     use super::*;
     use crate::policy::model::{EndpointPattern, EndpointView};
 
+    /// The production decision path: the compiled snapshot.
+    fn classify(pm: &PolicyManager, flow: &FlowView) -> Decision {
+        PolicySnapshot::compile(pm, 1).classify(flow)
+    }
+
+    fn classify_class(pm: &PolicyManager, flow: &FlowView) -> Option<Decision> {
+        PolicySnapshot::compile(pm, 1).classify_class(flow)
+    }
+
     fn flow(src_user: &str, dst_user: &str) -> FlowView {
         FlowView {
             ethertype: 0x0800,
@@ -898,8 +578,8 @@ mod tests {
 
     #[test]
     fn default_deny_when_no_rules() {
-        let mut pm = PolicyManager::new();
-        let d = pm.query(&flow("alice", "bob"));
+        let pm = PolicyManager::new();
+        let d = classify(&pm, &flow("alice", "bob"));
         assert_eq!(d.action, PolicyAction::Deny);
         assert_eq!(d.policy, DEFAULT_DENY_ID);
         assert!(pm.is_empty());
@@ -913,11 +593,14 @@ mod tests {
             10,
             "test-pdp",
         );
-        let d = pm.query(&flow("alice", "bob"));
+        let d = classify(&pm, &flow("alice", "bob"));
         assert_eq!(d.action, PolicyAction::Allow);
         assert_eq!(d.policy, id);
         // Unrelated flow still default-denied.
-        assert_eq!(pm.query(&flow("carol", "bob")).action, PolicyAction::Deny);
+        assert_eq!(
+            classify(&pm, &flow("carol", "bob")).action,
+            PolicyAction::Deny
+        );
     }
 
     #[test]
@@ -929,10 +612,13 @@ mod tests {
             50,
             "high",
         );
-        let d = pm.query(&flow("alice", "bob"));
+        let d = classify(&pm, &flow("alice", "bob"));
         assert_eq!(d.action, PolicyAction::Deny);
         assert_eq!(d.policy, deny_id);
-        assert_eq!(pm.query(&flow("carol", "bob")).action, PolicyAction::Allow);
+        assert_eq!(
+            classify(&pm, &flow("carol", "bob")).action,
+            PolicyAction::Allow
+        );
     }
 
     #[test]
@@ -944,7 +630,7 @@ mod tests {
             10,
             "b",
         );
-        let d = pm.query(&flow("alice", "bob"));
+        let d = classify(&pm, &flow("alice", "bob"));
         assert_eq!(d.action, PolicyAction::Deny);
         assert_eq!(d.policy, deny_id);
     }
@@ -981,9 +667,14 @@ mod tests {
             flush.is_empty(),
             "no outstanding default-deny rules: {flush:?}"
         );
-        // A query that falls through to the default deny may now be cached
-        // on a switch; the next Allow insert must flush cookie 0.
-        assert_eq!(pm.query(&flow("carol", "dave")).policy, DEFAULT_DENY_ID);
+        // A decision that falls through to the default deny may now be
+        // cached on a switch; once the front forwards the shard's note, the
+        // next Allow insert must flush cookie 0.
+        assert_eq!(
+            classify(&pm, &flow("carol", "dave")).policy,
+            DEFAULT_DENY_ID
+        );
+        pm.note_default_deny_cached();
         let (_, flush) = pm.insert(
             PolicyRule::allow(EndpointPattern::user("carol"), EndpointPattern::any()),
             10,
@@ -1021,7 +712,7 @@ mod tests {
             2,
             "b",
         );
-        pm.query(&flow("nobody", "noone"));
+        pm.note_default_deny_cached();
         let (_, flush) = pm.insert(
             PolicyRule::deny(EndpointPattern::any(), EndpointPattern::any()),
             50,
@@ -1107,9 +798,9 @@ mod tests {
     fn revoke_removes_rule() {
         let mut pm = PolicyManager::new();
         let (id, _) = pm.insert(PolicyRule::allow_all(), 10, "pdp");
-        assert_eq!(pm.query(&flow("a", "b")).action, PolicyAction::Allow);
+        assert_eq!(classify(&pm, &flow("a", "b")).action, PolicyAction::Allow);
         assert!(pm.revoke(id));
-        assert_eq!(pm.query(&flow("a", "b")).action, PolicyAction::Deny);
+        assert_eq!(classify(&pm, &flow("a", "b")).action, PolicyAction::Deny);
         assert!(!pm.revoke(id), "double revoke is false");
     }
 
@@ -1132,9 +823,7 @@ mod tests {
             10,
             "pdp",
         );
-        let d = pm
-            .query_class(&flow("alice", "bob"))
-            .expect("uniform class");
+        let d = classify_class(&pm, &flow("alice", "bob")).expect("uniform class");
         assert_eq!(d.action, PolicyAction::Allow);
         assert_eq!(d.policy, id);
     }
@@ -1149,9 +838,7 @@ mod tests {
         );
         // No rule admits alice→bob flows at any port: the whole class is
         // default-denied and may be cached as one rule.
-        let d = pm
-            .query_class(&flow("alice", "bob"))
-            .expect("uniform class");
+        let d = classify_class(&pm, &flow("alice", "bob")).expect("uniform class");
         assert_eq!(d.policy, DEFAULT_DENY_ID);
     }
 
@@ -1172,13 +859,13 @@ mod tests {
         let mut f = flow("alice", "bob");
         f.dst.hostnames = vec!["anyhost".into()];
         assert_eq!(
-            pm.query_class(&f),
+            classify_class(&pm, &f),
             None,
             "port-pinning overlap blocks widening"
         );
         // A flow class the deny cannot touch is still widenable.
         let g = flow("alice", "bob");
-        assert!(pm.query_class(&g).is_some());
+        assert!(classify_class(&pm, &g).is_some());
     }
 
     #[test]
@@ -1201,7 +888,7 @@ mod tests {
         );
         let mut f = flow("alice", "bob");
         f.dst.hostnames = vec!["bob-host".into()];
-        let d = pm.query_class(&f).expect("outranked pin ignored");
+        let d = classify_class(&pm, &f).expect("outranked pin ignored");
         assert_eq!(d.policy, deny_id);
     }
 
@@ -1216,7 +903,7 @@ mod tests {
         // The whole class is denied either way: uniform.
         let mut f = flow("alice", "bob");
         f.dst.hostnames = vec!["h".into()];
-        let d = pm.query_class(&f).expect("uniform deny");
+        let d = classify_class(&pm, &f).expect("uniform deny");
         assert_eq!(d.action, PolicyAction::Deny);
         assert_eq!(d.policy, DEFAULT_DENY_ID);
     }
@@ -1230,15 +917,15 @@ mod tests {
             "pdp",
         );
         let mut f = flow("alice", "bob");
-        let class = pm.query_class(&f).expect("uniform");
+        let class = classify_class(&pm, &f).expect("uniform");
         for port in [22u16, 80, 445, 50_000] {
             f.dst.port = Some(port);
-            assert_eq!(pm.query(&f), class, "port {port} disagrees with class");
+            assert_eq!(classify(&pm, &f), class, "port {port} disagrees with class");
         }
     }
 
     #[test]
-    fn indexed_query_agrees_with_linear_reference() {
+    fn classify_agrees_with_linear_reference() {
         // Hand-built corner cases; the broad randomized proof lives in
         // tests/proptest_policy.rs.
         let mut pm = PolicyManager::new();
@@ -1268,119 +955,13 @@ mod tests {
         srv.src.hostnames = vec!["SRV".into()];
         flows.push(srv);
         for f in &flows {
-            assert_eq!(pm.query(f), pm.query_linear(f), "flow {f:?}");
-            assert_eq!(pm.query_class(f), pm.query_class_linear(f), "class {f:?}");
-        }
-    }
-
-    #[test]
-    fn bucket_index_tracks_insert_and_revoke() {
-        let mut pm = PolicyManager::new();
-        let (a, _) = pm.insert(
-            PolicyRule::allow(EndpointPattern::any(), EndpointPattern::user("Bob")),
-            10,
-            "p",
-        );
-        pm.insert(PolicyRule::allow_all(), 1, "p");
-        let stats = pm.index_stats();
-        assert_eq!(stats.rules, 2);
-        assert_eq!(stats.buckets, 2, "one dst-user bucket + scan bucket");
-        assert_eq!(stats.scan_bucket_len, 1);
-        pm.revoke(a);
-        let stats = pm.index_stats();
-        assert_eq!(stats.rules, 1);
-        assert_eq!(stats.buckets, 1, "empty buckets are dropped");
-    }
-
-    #[test]
-    fn selective_query_scans_fewer_candidates_than_rules() {
-        let mut pm = PolicyManager::new();
-        for i in 0..100 {
-            pm.insert(
-                PolicyRule::allow(
-                    EndpointPattern::user(&format!("u{i}")),
-                    EndpointPattern::user(&format!("v{i}")),
-                ),
-                10,
-                "p",
+            assert_eq!(classify(&pm, f), pm.query_linear(f), "flow {f:?}");
+            assert_eq!(
+                classify_class(&pm, f),
+                pm.query_class_linear(f),
+                "class {f:?}"
             );
         }
-        let d = pm.query(&flow("u7", "v7"));
-        assert_eq!(d.action, PolicyAction::Allow);
-        let stats = pm.index_stats();
-        assert!(
-            stats.candidates_scanned <= 4,
-            "probed buckets only, scanned {} of {} rules",
-            stats.candidates_scanned,
-            stats.rules
-        );
-    }
-
-    #[test]
-    fn index_stats_bucket_accounting_survives_revocations() {
-        let mut pm = PolicyManager::new();
-        // Two rules share one dst-user bucket (case-folded), one sits in
-        // its own src-host bucket, two land in the scan bucket.
-        let (a, _) = pm.insert(
-            PolicyRule::allow(EndpointPattern::any(), EndpointPattern::user("Bob")),
-            10,
-            "p",
-        );
-        let (b, _) = pm.insert(
-            PolicyRule::deny(EndpointPattern::any(), EndpointPattern::user("BOB")),
-            20,
-            "p",
-        );
-        let (c, _) = pm.insert(
-            PolicyRule::allow(EndpointPattern::host("srv"), EndpointPattern::any()),
-            10,
-            "p",
-        );
-        let (d, _) = pm.insert(PolicyRule::allow_all(), 1, "p");
-        let (e, _) = pm.insert(
-            PolicyRule::deny(EndpointPattern::any(), EndpointPattern::any()),
-            2,
-            "p",
-        );
-        let stats = pm.index_stats();
-        assert_eq!(
-            (stats.rules, stats.buckets, stats.scan_bucket_len),
-            (5, 3, 2)
-        );
-        // Removing one of two same-bucket rules keeps the bucket alive.
-        pm.revoke(a);
-        let stats = pm.index_stats();
-        assert_eq!(
-            (stats.rules, stats.buckets, stats.scan_bucket_len),
-            (4, 3, 2)
-        );
-        // Removing the last dst-user rule drops that bucket.
-        pm.revoke(b);
-        let stats = pm.index_stats();
-        assert_eq!(
-            (stats.rules, stats.buckets, stats.scan_bucket_len),
-            (3, 2, 2)
-        );
-        // Draining the scan bucket drops it too; revoking an already
-        // revoked id must not disturb the accounting.
-        pm.revoke(d);
-        pm.revoke(e);
-        assert!(!pm.revoke(d));
-        let stats = pm.index_stats();
-        assert_eq!(
-            (stats.rules, stats.buckets, stats.scan_bucket_len),
-            (1, 1, 0)
-        );
-        pm.revoke(c);
-        let stats = pm.index_stats();
-        assert_eq!(
-            (stats.rules, stats.buckets, stats.scan_bucket_len),
-            (0, 0, 0)
-        );
-        // Counters are cumulative and unaffected by revocation.
-        assert_eq!(stats.queries, 0);
-        pm.query(&flow("alice", "bob"));
-        assert_eq!(pm.index_stats().queries, 1);
     }
 
     #[test]
@@ -1411,24 +992,25 @@ mod tests {
             10,
             "b",
         );
-        assert_eq!(pm.query(&flow("alice", "bob")).policy, allow_id);
+        assert_eq!(classify(&pm, &flow("alice", "bob")).policy, allow_id);
         // Raising the deny above the allow inverts the pair: the allow's
         // cached decisions are stale.
         let flush = pm.re_rank(deny_id, 90).expect("known id");
         assert_eq!(flush, vec![allow_id]);
-        assert_eq!(pm.query(&flow("alice", "bob")).policy, deny_id);
+        assert_eq!(classify(&pm, &flow("alice", "bob")).policy, deny_id);
         assert_eq!(pm.get(deny_id).unwrap().priority, 90);
         // Lowering it back inverts again — this time the re-ranked rule's
         // own cached decisions are the stale ones.
         let flush = pm.re_rank(deny_id, 10).expect("known id");
         assert_eq!(flush, vec![deny_id]);
-        assert_eq!(pm.query(&flow("alice", "bob")).policy, allow_id);
+        assert_eq!(classify(&pm, &flow("alice", "bob")).policy, allow_id);
         // No-op and unknown-id cases.
         assert_eq!(pm.re_rank(deny_id, 10), Some(Vec::new()));
         assert_eq!(pm.re_rank(PolicyId(999), 5), None);
-        // The indexed query still agrees with the linear oracle afterwards.
+        // The compiled classifier still agrees with the linear oracle
+        // afterwards.
         for f in [flow("alice", "bob"), flow("carol", "dave")] {
-            assert_eq!(pm.query(&f), pm.query_linear(&f));
+            assert_eq!(classify(&pm, &f), pm.query_linear(&f));
         }
     }
 
@@ -1503,11 +1085,11 @@ mod tests {
         );
         let mut f = flow("alice", "bob");
         f.dst.hostnames = vec!["h".into()];
-        assert_eq!(pm.query_class(&f), None, "range pin blocks widening");
-        assert_eq!(pm.query_class(&f), pm.query_class_linear(&f));
+        assert_eq!(classify_class(&pm, &f), None, "range pin blocks widening");
+        assert_eq!(classify_class(&pm, &f), pm.query_class_linear(&f));
         let g = flow("alice", "bob");
-        assert_eq!(pm.query_class(&g), pm.query_class_linear(&g));
-        assert!(pm.query_class(&g).is_some());
+        assert_eq!(classify_class(&pm, &g), pm.query_class_linear(&g));
+        assert!(classify_class(&pm, &g).is_some());
     }
 
     #[test]

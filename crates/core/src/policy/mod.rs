@@ -7,8 +7,8 @@ mod roles;
 mod snapshot;
 
 pub use manager::{
-    CommitOutcome, Decision, PolicyDelta, PolicyId, PolicyIndexStats, PolicyManager,
-    PolicyMutation, StoredPolicy, DEFAULT_DENY_ID,
+    CommitOutcome, Decision, PolicyDelta, PolicyId, PolicyManager, PolicyMutation, StoredPolicy,
+    DEFAULT_DENY_ID,
 };
 pub use model::{
     EndpointPattern, EndpointView, FlowProperties, FlowView, PolicyAction, PolicyRule, Wild,

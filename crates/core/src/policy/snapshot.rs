@@ -2,50 +2,50 @@
 //!
 //! This is the control/data-plane split applied to the DFI's own decision
 //! engine. The mutable [`PolicyManager`] stays the single source of truth
-//! on the control plane; every mutation *lowers* the current rule set into
-//! a [`PolicySnapshot`] — a frozen classifier over the exact same bucket
-//! dimensions as the manager's live index — which the control front then
-//! publishes to every data shard as one `Arc` (a pointer swap per shard).
-//! The packet path reads only the snapshot: no locks, no
-//! `&mut PolicyManager`, no allocation.
+//! on the control plane; every certified commit *lowers* the current rule
+//! set into a [`PolicySnapshot`] — a frozen, bucket-indexed classifier —
+//! which the control front then publishes to every data shard as one
+//! `Arc` (a pointer swap per shard). The packet path reads only the
+//! snapshot: no locks, no `&mut PolicyManager`, no allocation.
 //!
 //! # Arbitration is bit-identical
 //!
-//! [`PolicySnapshot::classify`] mirrors [`PolicyManager::query`] and
-//! [`PolicySnapshot::classify_class`] mirrors
-//! [`PolicyManager::query_class`]: same candidate buckets (dst username →
-//! dst hostname → dst IP → src username → src hostname → src IP → scan),
-//! same `(priority desc, id asc)` k-way merge, same first-priority-group
-//! cutoff, same Deny-beats-Allow tie break, same default deny. The
-//! `snapshot_classify_matches_indexed_and_linear` proptest in
-//! `tests/proptest_policy.rs` proves the three-way equivalence
-//! `classify ≡ query ≡ query_linear` (and the `_class` triple) on random
+//! [`PolicySnapshot::classify`] decides exactly as
+//! [`PolicyManager::query_linear`] and [`PolicySnapshot::classify_class`]
+//! exactly as [`PolicyManager::query_class_linear`]: highest priority
+//! wins, Deny beats Allow within a priority, the lowest id breaks the
+//! remaining ties, nothing matching is the default deny — same winning
+//! policy id, not merely the same action. The
+//! `snapshot_classify_matches_linear` proptest in
+//! `tests/proptest_policy.rs` proves both equivalences on random
 //! insert/revoke histories.
 //!
-//! # Why the hot path gets faster
+//! # How a decision avoids the rule table
 //!
-//! The manager's per-query costs that the snapshot compiles away:
-//!
-//! * bucket keys are built per query (`to_ascii_lowercase` heap strings,
-//!   a `Vec`, a sort) — the snapshot pre-folds every name key at build
-//!   time and looks flow names up case-insensitively in place;
-//! * each candidate id costs a `BTreeMap` probe — the snapshot stores
-//!   rules in a flat id-ordered arena indexed by `u32`;
-//! * hash lookups over `String` keys — the snapshot binary-searches small
-//!   sorted tables with raw byte compares;
-//! * `rule.matches(flow)` is interpreted per candidate — the snapshot
-//!   compiles each entry's *residual* predicate instead. Filing a rule
-//!   under a bucket already proves its filed clause (the lookup only
-//!   returns the bucket when the flow carries a case-equal name / equal
-//!   IP), so an entry whose every *other* clause is a wildcard is marked
-//!   `TRIVIAL` at build time: it matches by construction, no arena fetch,
-//!   no string compares. The action is folded into a `DENY` flag, so
-//!   arbitration over trivial entries touches nothing but the entry
-//!   itself. Going further, when a bucket's entire top-priority run is
-//!   trivial its verdict no longer depends on the flow at all, and the
-//!   bucket carries a pre-computed [`Decision`]; a flow that yields
-//!   exactly one candidate bucket (the common enterprise shape: one
-//!   matched destination identifier) skips the merge entirely.
+//! * Each rule is filed under its most selective pinned identifier
+//!   (dst username → dst hostname → dst IP → src username → src hostname
+//!   → src IP; rules pinning none land in a catch-all *scan* bucket), and
+//!   each bucket is sorted by `(priority desc, id asc)`. A flow probes only
+//!   the buckets its own identifiers name, k-way-merges them in that
+//!   order, and stops at the end of the first priority group holding a
+//!   match.
+//! * Name keys are case-folded at build time; flow names are looked up
+//!   case-insensitively in place, in small sorted tables with raw byte
+//!   compares — no per-decision heap key.
+//! * Rules live in a flat id-ordered arena indexed by `u32`.
+//! * Each entry carries a compiled *residual* predicate instead of
+//!   interpreting `rule.matches(flow)` per candidate. Filing a rule under a
+//!   bucket already proves its filed clause (the lookup only returns the
+//!   bucket when the flow carries a case-equal name / equal IP), so an
+//!   entry whose every *other* clause is a wildcard is marked `TRIVIAL` at
+//!   build time: it matches by construction, no arena fetch, no string
+//!   compares. The action is folded into a `DENY` flag, so arbitration
+//!   over trivial entries touches nothing but the entry itself. Going
+//!   further, when a bucket's entire top-priority run is trivial its
+//!   verdict no longer depends on the flow at all, and the bucket carries
+//!   a pre-computed [`Decision`]; a flow that yields exactly one candidate
+//!   bucket (the common enterprise shape: one matched destination
+//!   identifier) skips the merge entirely.
 //!
 //! Steady-state classification performs **zero allocations** (gated by
 //! `dfi-decidegate` with a counting global allocator); cursor state lives
@@ -292,12 +292,12 @@ impl IpTable {
     }
 }
 
-/// K-way merge cursors with inline storage; mirrors the manager's
-/// `MergedCandidates` linear-min merge. Duplicate cursors (two flow names
-/// case-folding to the same bucket) yield duplicate entries, which the
-/// arbitration loops absorb: matching is idempotent and the class-query
-/// pin trackers are booleans — so, unlike the manager, no dedup pass (and
-/// no key `Vec`) is needed.
+/// K-way merge cursors with inline storage: a linear min over the cursor
+/// heads, which beats a heap for a handful of buckets. Duplicate cursors
+/// (two flow names case-folding to the same bucket) yield duplicate
+/// entries, which the arbitration loops absorb: matching is idempotent and
+/// the class-query pin trackers are booleans — so no dedup pass (and no
+/// key `Vec`) is needed.
 struct Cursors<'a> {
     inline: [&'a [Entry]; INLINE_CURSORS],
     len: usize,
@@ -585,7 +585,7 @@ impl PolicySnapshot {
     }
 
     /// The publication epoch stamped by the control plane (monotonic per
-    /// [`crate::Dfi`]; decision-cache entries are tagged with it).
+    /// [`crate::Dfi`]).
     #[must_use]
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -667,8 +667,8 @@ impl PolicySnapshot {
         flush
     }
 
-    /// The flow's candidate cursors, mirroring the manager's
-    /// `candidate_cursors` (minus the dedup — see [`Cursors`]).
+    /// The flow's candidate cursors: the scan bucket plus one bucket per
+    /// flow identifier that has one (see [`Cursors`]).
     fn cursors<'a>(&'a self, flow: &FlowView) -> Cursors<'a> {
         let mut c = Cursors::new();
         c.push_bucket(&self.scan);
@@ -694,8 +694,8 @@ impl PolicySnapshot {
     }
 
     /// Decides a flow against the compiled policy. Bit-identical to
-    /// [`PolicyManager::query`] on the rule set this snapshot was compiled
-    /// from; allocation-free in the steady state.
+    /// [`PolicyManager::query_linear`] on the rule set this snapshot was
+    /// compiled from; allocation-free in the steady state.
     #[must_use]
     pub fn classify(&self, flow: &FlowView) -> Decision {
         let mut cursors = self.cursors(flow);
@@ -744,8 +744,8 @@ impl PolicySnapshot {
     }
 
     /// Decides a flow's whole port-wildcard class when provably uniform.
-    /// Bit-identical to [`PolicyManager::query_class`]; allocation-free in
-    /// the steady state.
+    /// Bit-identical to [`PolicyManager::query_class_linear`];
+    /// allocation-free in the steady state.
     #[must_use]
     pub fn classify_class(&self, flow: &FlowView) -> Option<Decision> {
         let mut cursors = self.cursors(flow);
@@ -819,18 +819,6 @@ impl PolicySnapshot {
                     })
                 }
             }
-        }
-    }
-
-    /// Classifies a PacketIn burst against this one frozen snapshot in a
-    /// single pass, appending one decision per flow to `out`. Reusing
-    /// `out` across bursts keeps the batch path allocation-free too;
-    /// every flow in the burst is guaranteed a decision from the *same*
-    /// policy version (no torn reads mid-burst).
-    pub fn classify_batch(&self, flows: &[FlowView], out: &mut Vec<Decision>) {
-        out.reserve(flows.len());
-        for flow in flows {
-            out.push(self.classify(flow));
         }
     }
 }
@@ -936,27 +924,6 @@ mod tests {
         let snap = PolicySnapshot::compile(&pm, 2);
         assert_eq!(snap.classify_class(&f), pm.query_class_linear(&f));
         assert!(snap.classify_class(&f).is_none());
-    }
-
-    #[test]
-    fn batch_classification_matches_singles_and_reuses_the_out_buffer() {
-        let mut pm = PolicyManager::new();
-        pm.insert(
-            PolicyRule::allow(EndpointPattern::any(), EndpointPattern::host("srv")),
-            5,
-            "t",
-        );
-        let snap = PolicySnapshot::compile(&pm, 1);
-        let flows = vec![flow("a", "srv"), flow("b", "x"), flow("c", "srv")];
-        let mut out = Vec::new();
-        snap.classify_batch(&flows, &mut out);
-        assert_eq!(out.len(), 3);
-        for (f, d) in flows.iter().zip(&out) {
-            assert_eq!(*d, snap.classify(f));
-        }
-        out.clear();
-        snap.classify_batch(&flows, &mut out);
-        assert_eq!(out.len(), 3);
     }
 
     /// The residual-precompilation regimes: a uniform-priority dst-host

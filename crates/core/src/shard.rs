@@ -13,8 +13,7 @@
 //!   ([`dfi_simnet::topo::shard_of`] — the same pure function the topology
 //!   tests check is a partition). A switch's entire packet-in / install /
 //!   flush lifecycle happens on its owning shard, each with its own
-//!   PCP/binding/policy queueing stations, decision cache, snapshot and
-//!   ERM replica.
+//!   PCP/binding/policy queueing stations, snapshot and ERM replica.
 //! * **Policy truth.** The front owns the one Policy Manager; shards have
 //!   none, so the type itself rules out a shard republishing policy of its
 //!   own. A commit fans its cookie flushes to every shard once, then
@@ -80,9 +79,9 @@ impl ShardLink for DirectShards {
         }
     }
 
-    fn install(&mut self, snapshot: &Arc<PolicySnapshot>, recovery: bool) {
+    fn install(&mut self, snapshot: &Arc<PolicySnapshot>) {
         for shard in self.shards.iter() {
-            shard.install(Arc::clone(snapshot), recovery);
+            shard.install(Arc::clone(snapshot));
         }
     }
 
@@ -378,8 +377,7 @@ impl Dfi {
     }
 
     /// Proxy-wide metrics: every shard's [`DfiMetrics`] merged (see
-    /// [`DfiMetrics::merge`]), plus the front's refusal count and Policy
-    /// Manager index.
+    /// [`DfiMetrics::merge`]), plus the front's refusal count.
     #[must_use]
     pub fn metrics(&self) -> DfiMetrics {
         let mut m = self.shards[0].metrics();

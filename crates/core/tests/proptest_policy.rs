@@ -1,4 +1,5 @@
-//! Property-based tests on the policy model and Policy Manager invariants.
+//! Property-based tests on the policy model, the Policy Manager's
+//! invariants, and the compiled snapshot classifier that decides flows.
 
 use dfi_core::policy::{
     Decision, EndpointPattern, EndpointView, FlowProperties, FlowView, PolicyAction, PolicyManager,
@@ -9,8 +10,8 @@ use std::net::Ipv4Addr;
 
 fn arb_name() -> impl Strategy<Value = String> {
     // A small alphabet so matches actually occur; mixed case so the
-    // case-insensitive name semantics (and the lowercased bucket index)
-    // are exercised.
+    // case-insensitive name semantics (and the snapshot's case-folded
+    // bucket tables) are exercised.
     "[a-dA-D]{1,3}"
 }
 
@@ -119,9 +120,9 @@ proptest! {
         prop_assert!(r.overlaps(&r));
     }
 
-    /// The manager's decision always corresponds to a stored rule that
-    /// matches the flow (or the default deny), and no stored matching rule
-    /// has strictly higher priority than the winner.
+    /// The decision always corresponds to a stored rule that matches the
+    /// flow (or the default deny), and no stored matching rule has
+    /// strictly higher priority than the winner.
     #[test]
     fn decision_is_sound_and_maximal(
         rules in proptest::collection::vec((arb_rule(), 1u32..5), 0..12),
@@ -131,7 +132,7 @@ proptest! {
         for (rule, prio) in &rules {
             pm.insert(rule.clone(), *prio, "prop");
         }
-        let Decision { action, policy } = pm.query(&flow);
+        let Decision { action, policy } = PolicySnapshot::compile(&pm, 1).classify(&flow);
         if policy == DEFAULT_DENY_ID {
             prop_assert_eq!(action, PolicyAction::Deny);
             for sp in pm.iter() {
@@ -175,7 +176,7 @@ proptest! {
             prop_assert!(pm.revoke(id));
         }
         prop_assert!(pm.is_empty());
-        let d = pm.query(&flow);
+        let d = PolicySnapshot::compile(&pm, 1).classify(&flow);
         prop_assert_eq!(d.policy, DEFAULT_DENY_ID);
         prop_assert_eq!(d.action, PolicyAction::Deny);
     }
@@ -220,54 +221,16 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The bucket-indexed `query`/`query_class` must be **bit-identical**
-    /// to the retained linear scans (`query_linear`/`query_class_linear`)
-    /// — same winning policy id, not merely the same action — on
-    /// arbitrary insert/revoke histories and flows. This is the proof
-    /// obligation that lets the indexed path replace the scan on the
-    /// packet hot path.
+    /// The proof obligation of the snapshot data plane: the compiled
+    /// immutable classifier must be **bit-identical** — same winning
+    /// policy id, not merely the same action — to the linear oracle, on
+    /// arbitrary insert/revoke histories and flows:
+    /// `snapshot.classify ≡ pm.query_linear` and
+    /// `snapshot.classify_class ≡ pm.query_class_linear`. This
+    /// equivalence is what licenses the hot path to read *only* the
+    /// snapshot.
     #[test]
-    fn indexed_query_matches_linear_reference(
-        ops in proptest::collection::vec((arb_rule(), 1u32..5, any::<bool>()), 0..16),
-        flows in proptest::collection::vec(arb_flow(), 1..6),
-    ) {
-        let mut pm = PolicyManager::new();
-        let mut live = Vec::new();
-        for (rule, prio, revoke_oldest) in &ops {
-            let (id, _) = pm.insert(rule.clone(), *prio, "prop");
-            live.push(id);
-            // Interleave revocations so bucket removal is exercised too.
-            if *revoke_oldest && live.len() > 1 {
-                let victim = live.remove(0);
-                prop_assert!(pm.revoke(victim));
-            }
-        }
-        for flow in &flows {
-            prop_assert_eq!(
-                pm.query(flow),
-                pm.query_linear(flow),
-                "indexed query diverged on {:?}",
-                flow
-            );
-            prop_assert_eq!(
-                pm.query_class(flow),
-                pm.query_class_linear(flow),
-                "indexed query_class diverged on {:?}",
-                flow
-            );
-        }
-    }
-
-    /// The tentpole proof obligation of the snapshot data plane: the
-    /// compiled immutable classifier must be **bit-identical** — same
-    /// winning policy id, not merely the same action — to both the
-    /// bucket-indexed query and the retained linear oracle, on arbitrary
-    /// insert/revoke histories and flows:
-    /// `snapshot.classify ≡ pm.query ≡ pm.query_linear` (and the
-    /// port-class triple). This three-way equivalence is what licenses the
-    /// hot path to read *only* the snapshot.
-    #[test]
-    fn snapshot_classify_matches_indexed_and_linear(
+    fn snapshot_classify_matches_linear(
         ops in proptest::collection::vec((arb_rule(), 1u32..5, any::<bool>()), 0..16),
         flows in proptest::collection::vec(arb_flow(), 1..6),
     ) {
@@ -285,43 +248,27 @@ proptest! {
         prop_assert_eq!(snap.rule_count(), pm.len());
         prop_assert_eq!(snap.revision(), pm.revision());
         for flow in &flows {
-            let linear = pm.query_linear(flow);
             prop_assert_eq!(
                 snap.classify(flow),
-                linear.clone(),
+                pm.query_linear(flow),
                 "snapshot classify diverged from the linear oracle on {:?}",
                 flow
             );
-            prop_assert_eq!(pm.query(flow), linear, "bucket index diverged on {:?}", flow);
-            let class_linear = pm.query_class_linear(flow);
             prop_assert_eq!(
                 snap.classify_class(flow),
-                class_linear.clone(),
+                pm.query_class_linear(flow),
                 "snapshot classify_class diverged from the linear oracle on {:?}",
                 flow
             );
-            prop_assert_eq!(
-                pm.query_class(flow),
-                class_linear,
-                "bucket-index query_class diverged on {:?}",
-                flow
-            );
-        }
-        // Batch classification is defined as the pointwise map.
-        let mut out = Vec::new();
-        snap.classify_batch(&flows, &mut out);
-        prop_assert_eq!(out.len(), flows.len());
-        for (flow, batched) in flows.iter().zip(&out) {
-            prop_assert_eq!(batched, &snap.classify(flow));
         }
     }
 
-    /// Soundness of the wildcard-caching extension: when `query_class`
+    /// Soundness of the wildcard-caching extension: when `classify_class`
     /// declares a flow's port class uniform, every member of the class
     /// (any src/dst port combination) must receive that same verdict from
-    /// the per-flow `query`.
+    /// the per-flow `classify`.
     #[test]
-    fn query_class_is_sound(
+    fn classify_class_is_sound(
         rules in proptest::collection::vec((arb_rule(), 1u32..5), 0..10),
         flow in arb_flow(),
         probe_ports in proptest::collection::vec((1u16..6, 1u16..6), 1..8),
@@ -330,12 +277,13 @@ proptest! {
         for (rule, prio) in &rules {
             pm.insert(rule.clone(), *prio, "prop");
         }
-        if let Some(class) = pm.query_class(&flow) {
+        let snap = PolicySnapshot::compile(&pm, 1);
+        if let Some(class) = snap.classify_class(&flow) {
             for (sport, dport) in probe_ports {
                 let mut member = flow.clone();
                 member.src.port = Some(sport);
                 member.dst.port = Some(dport);
-                let per_flow = pm.query(&member);
+                let per_flow = snap.classify(&member);
                 prop_assert_eq!(
                     per_flow.action, class.action,
                     "class said {:?} but member ({},{}) decided {:?}",

@@ -1,6 +1,6 @@
 //! Live-rig tests for the snapshot data plane: traffic continuity across
-//! rapid control-plane snapshot swaps, and burst classification of
-//! coalesced packet-in reads against one frozen snapshot.
+//! rapid control-plane snapshot swaps, and the decisions of coalesced
+//! packet-in reads against one frozen snapshot.
 
 use dfi_core::policy::{EndpointPattern, PolicyRule};
 use dfi_core::{Dfi, DfiConfig};
@@ -134,8 +134,8 @@ fn traffic_is_uninterrupted_across_rapid_snapshot_swaps() {
 }
 
 /// A control-channel read carrying several packet-in frames is admitted as
-/// one PCP job and all its cache-missing flows are classified in a single
-/// `classify_batch` pass over one frozen snapshot.
+/// one PCP job and every flow in it is resolved and classified against
+/// one frozen snapshot.
 #[test]
 fn packet_in_burst_is_classified_in_one_batch() {
     let mut r = rig();
@@ -168,12 +168,11 @@ fn packet_in_burst_is_classified_in_one_batch() {
     assert_eq!(m.packet_ins, 3);
     assert_eq!(
         m.burst_flows_classified, 3,
-        "all three cache misses classified in the batch"
+        "all three flows classified in the burst"
     );
     assert_eq!(m.allowed, 3);
     assert_eq!(m.denied, 0);
     assert_eq!(m.decision_cache_misses, 3);
-    assert_eq!(m.decision_cache_entries, 3);
     // Exact-match rules were installed for each flow under the deciding
     // policy's cookie, and the packets were forwarded on to the
     // destination host.
@@ -185,10 +184,10 @@ fn packet_in_burst_is_classified_in_one_batch() {
     );
 }
 
-/// A second burst of the same flows is absorbed by the decision memo: the
-/// batch-classify pass only sees flows that missed the cache.
+/// A second burst of the same flows is decided afresh: nothing is
+/// memoized, so every flow of both bursts is resolved and classified.
 #[test]
-fn repeat_burst_is_served_from_the_memo() {
+fn repeat_burst_is_classified_again() {
     let mut r = rig();
     r.dfi
         .insert_policy(&mut r.sim, PolicyRule::allow_all(), 1, "test");
@@ -216,9 +215,9 @@ fn repeat_burst_is_served_from_the_memo() {
     assert_eq!(m.packet_ins, 4);
     assert_eq!(m.allowed, 4);
     assert_eq!(
-        m.burst_flows_classified, 2,
-        "second burst hit the memo, nothing re-classified"
+        m.burst_flows_classified, 4,
+        "the second burst is re-classified"
     );
-    assert_eq!(m.decision_cache_hits, 2);
-    assert_eq!(m.decision_cache_misses, 2);
+    assert_eq!(m.decision_cache_hits, 0);
+    assert_eq!(m.decision_cache_misses, 4);
 }

@@ -1,6 +1,6 @@
-//! Flow-decide gate: the snapshot classifier against the paths it
-//! replaced, at enterprise scale (10 000 rules, 512 destination-host
-//! buckets, ~20 candidate entries per probe).
+//! Flow-decide gate: the compiled snapshot classifier against the linear
+//! oracle it is proven equal to, at enterprise scale (10 000 rules, 512
+//! destination-host buckets, ~20 candidate entries per probe).
 //!
 //! Two rule-set profiles, mirroring how PDPs actually populate the
 //! manager:
@@ -14,48 +14,48 @@
 //!   zero-alloc requirements are enforced on this profile.**
 //! * `mixed` — a third of the rules additionally pin the source host and
 //!   priorities spread over four PDP bands, so most candidates need real
-//!   residual interpretation. Reported for transparency (expect a small
-//!   multiple, not an order of magnitude): it bounds the worst case, the
-//!   gate does not certify it.
+//!   residual interpretation. Reported for transparency: it bounds the
+//!   worst case, the gate does not certify it.
 //!
-//! Per profile it measures:
+//! Per profile it times `classify` (`PolicySnapshot::classify`, the hot
+//! path) against `linear` (`PolicyManager::query_linear`, the full-scan
+//! oracle) in alternating rounds: each round times a block of classify
+//! calls and a block of linear calls back to back (the order flips every
+//! round), and the profile's speedup is the median of the per-round
+//! ratios. A host-speed swing inside one block moves one round's ratio,
+//! not the median, so it can neither fail nor pass the gate on its own.
 //!
-//! * `linear` — `PolicyManager::query_linear`, the full-scan oracle
-//!   (`acl` only; it is ~three orders slower),
-//! * `indexed` — `PolicyManager::query`, the bucket-indexed path the PCP
-//!   read before the snapshot data plane (allocates lowercased bucket
-//!   keys and cursor vectors per call, hashes per candidate, interprets
-//!   `matches` per candidate),
-//! * `classify` — `PolicySnapshot::classify`, the compiled hot path,
-//! * `batch` — `PolicySnapshot::classify_batch` over a 64-flow packet-in
-//!   burst into a reused output buffer (`acl` only).
-//!
-//! Before timing anything it hard-fails unless all paths agree on every
-//! probe flow in both profiles — the same equivalence the property tests
-//! prove, here as a cheap sanity net so the gate can never certify a
-//! wrong-answer speedup.
+//! Before timing anything it hard-fails unless `classify ≡ query_linear`
+//! and `classify_class ≡ query_class_linear` on every probe flow in both
+//! profiles — the same equivalences the property tests prove, here as a
+//! cheap sanity net so the gate can never certify a wrong-answer speedup.
 //!
 //! Prints a JSON report to stdout (captured into `BENCH_decide.json` by
 //! `scripts/check.sh --decide`). With `--gate N` it exits non-zero unless
-//! `acl` classify is at least `N`× faster than `indexed` and
-//! allocation-free.
+//! `acl` classify is at least `N`× faster than `linear` (median per-round
+//! ratio) and allocation-free in every round.
 
 use std::hint::black_box;
 use std::net::Ipv4Addr;
 use std::process::ExitCode;
 
 use dfi_core::policy::{
-    Decision, EndpointPattern, EndpointView, FlowView, PolicyManager, PolicyRule, PolicySnapshot,
+    EndpointPattern, EndpointView, FlowView, PolicyManager, PolicyRule, PolicySnapshot,
 };
 use dfi_packet::MacAddr;
-use dfi_wiregate::{fmt_measure, measure, CountingAlloc, Measure};
+use dfi_wiregate::{fmt_measure, provenance_json, time_block, CountingAlloc, Measure};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const N_RULES: usize = 10_000;
 const N_HOSTS: usize = 512;
-const BURST: usize = 64;
+const N_PROBES: usize = 64;
+/// Alternating timing rounds per profile (odd: the median is one round).
+const ROUNDS: usize = 21;
+/// Classify calls per linear call in a round: about equal wall time per
+/// block at the measured ~4 500× ratio.
+const LINEAR_SHARE: u64 = 4_000;
 
 /// `acl`: everything keyed on destination hostname with a wildcard
 /// source, one fixed priority band, a Deny in every 17th slot (17 is
@@ -143,18 +143,17 @@ fn probe_flow(j: usize) -> FlowView {
 /// Equivalence sanity net: never certify a wrong-answer speedup.
 fn check_equivalence(
     name: &str,
-    pm: &mut PolicyManager,
+    pm: &PolicyManager,
     snap: &PolicySnapshot,
     flows: &[FlowView],
 ) -> bool {
     for (j, f) in flows.iter().enumerate() {
-        let lin = pm.query_linear(f);
-        let idx = pm.query(f);
-        let cls = snap.classify(f);
-        if lin != idx || lin != cls {
+        let (lin, cls) = (pm.query_linear(f), snap.classify(f));
+        let (lin_class, cls_class) = (pm.query_class_linear(f), snap.classify_class(f));
+        if lin != cls || lin_class != cls_class {
             eprintln!(
-                "EQUIVALENCE FAIL ({name}) on probe flow {j}: \
-                 linear={lin:?} indexed={idx:?} classify={cls:?}"
+                "EQUIVALENCE FAIL ({name}) on probe flow {j}: linear={lin:?} classify={cls:?} \
+                 class_linear={lin_class:?} classify_class={cls_class:?}"
             );
             return false;
         }
@@ -162,28 +161,64 @@ fn check_equivalence(
     true
 }
 
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// A profile's alternating-round result: median ns per call of each
+/// path, classify's worst round's allocations, and the median of the
+/// per-round linear/classify ratios.
 struct Profile {
-    indexed: Measure,
     classify: Measure,
+    linear: Measure,
     speedup: f64,
 }
 
+/// Times `iters` classify calls against `linear_iters` linear calls per
+/// round.
 fn run_profile(
-    pm: &mut PolicyManager,
+    pm: &PolicyManager,
     snap: &PolicySnapshot,
     flow: &FlowView,
     iters: u64,
+    linear_iters: u64,
 ) -> Profile {
-    let indexed = measure(iters, || {
-        black_box(pm.query(black_box(flow)));
-    });
-    let classify = measure(iters, || {
+    let classify = || {
         black_box(snap.classify(black_box(flow)));
-    });
+    };
+    let linear = || {
+        black_box(pm.query_linear(black_box(flow)));
+    };
+    // Warm both paths before the first timed round.
+    time_block(iters / 10 + 1, classify);
+    time_block(1, linear);
+    let (mut c_ns, mut l_ns, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut c_allocs, mut l_allocs) = (0.0f64, 0.0f64);
+    for round in 0..ROUNDS {
+        let (c, l) = if round % 2 == 0 {
+            let c = time_block(iters, classify);
+            (c, time_block(linear_iters, linear))
+        } else {
+            let l = time_block(linear_iters, linear);
+            (time_block(iters, classify), l)
+        };
+        ratios.push(l.ns_per_op / c.ns_per_op);
+        c_ns.push(c.ns_per_op);
+        l_ns.push(l.ns_per_op);
+        c_allocs = c_allocs.max(c.allocs_per_op);
+        l_allocs = l_allocs.max(l.allocs_per_op);
+    }
     Profile {
-        indexed,
-        classify,
-        speedup: indexed.ns_per_op / classify.ns_per_op,
+        classify: Measure {
+            ns_per_op: median(c_ns),
+            allocs_per_op: c_allocs,
+        },
+        linear: Measure {
+            ns_per_op: median(l_ns),
+            allocs_per_op: l_allocs,
+        },
+        speedup: median(ratios),
     }
 }
 
@@ -209,71 +244,49 @@ fn main() -> ExitCode {
     let iters: u64 = std::env::var("DECIDEGATE_ITERS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(200_000);
+        .unwrap_or(50_000);
 
-    let mut acl_pm = build_acl_pm();
+    let acl_pm = build_acl_pm();
     let acl_snap = PolicySnapshot::compile(&acl_pm, 1);
-    let mut mixed_pm = build_mixed_pm();
+    let mixed_pm = build_mixed_pm();
     let mixed_snap = PolicySnapshot::compile(&mixed_pm, 1);
-    let flows: Vec<FlowView> = (0..BURST).map(probe_flow).collect();
+    let flows: Vec<FlowView> = (0..N_PROBES).map(probe_flow).collect();
 
-    if !check_equivalence("acl", &mut acl_pm, &acl_snap, &flows)
-        || !check_equivalence("mixed", &mut mixed_pm, &mixed_snap, &flows)
+    if !check_equivalence("acl", &acl_pm, &acl_snap, &flows)
+        || !check_equivalence("mixed", &mixed_pm, &mixed_snap, &flows)
     {
         return ExitCode::FAILURE;
     }
 
-    // The linear oracle is ~three orders slower; scale its iteration count
-    // down so the gate stays quick.
-    let linear = measure((iters / 500).max(20), || {
-        black_box(acl_pm.query_linear(black_box(&flows[0])));
-    });
-    let acl = run_profile(&mut acl_pm, &acl_snap, &flows[0], iters);
-    let mixed = run_profile(&mut mixed_pm, &mixed_snap, &flows[0], iters);
-    let mut out: Vec<Decision> = Vec::with_capacity(BURST);
-    let batch = measure(iters / BURST as u64, || {
-        acl_snap.classify_batch(black_box(&flows), &mut out);
-        black_box(out.len());
-    });
-    let batch_ns_per_flow = batch.ns_per_op / BURST as f64;
-    let batch_flows_per_sec = 1e9 / batch_ns_per_flow;
-    let speedup_vs_linear = linear.ns_per_op / acl.classify.ns_per_op;
-
+    let linear_iters = (iters / LINEAR_SHARE).max(2);
+    let acl = run_profile(&acl_pm, &acl_snap, &flows[0], iters, linear_iters);
+    let mixed = run_profile(&mixed_pm, &mixed_snap, &flows[0], iters, linear_iters);
     let pass = gate.is_none_or(|g| acl.speedup >= g && acl.classify.allocs_per_op <= 0.01);
+    let bar = gate.map_or_else(|| "null".to_string(), |g| format!("{g:.1}"));
 
     println!("{{");
-    println!("  \"iters\": {iters},");
-    println!("  \"rules\": {N_RULES},");
-    println!("  \"acl\": {{");
-    println!("    \"linear\": {},", fmt_measure(linear));
-    println!("    \"indexed\": {},", fmt_measure(acl.indexed));
-    println!("    \"classify\": {},", fmt_measure(acl.classify));
     println!(
-        "    \"batch\": {{\"flows\": {BURST}, \"ns_per_flow\": {batch_ns_per_flow:.1}, \
-         \"flows_per_sec\": {batch_flows_per_sec:.0}, \"allocs_per_burst\": {:.3}}},",
-        batch.allocs_per_op
+        "  \"config\": {{\"rules\": {N_RULES}, \"hosts\": {N_HOSTS}, \"probes\": {N_PROBES}, \
+         \"rounds\": {ROUNDS}, \"classify_iters_per_round\": {iters}, \
+         \"linear_iters_per_round\": {linear_iters}, \"required_speedup\": {bar}}},"
     );
-    println!(
-        "    \"speedup\": {{\"vs_indexed\": {:.2}, \"vs_linear\": {speedup_vs_linear:.1}}}",
-        acl.speedup
-    );
-    println!("  }},");
-    println!("  \"mixed\": {{");
-    println!("    \"indexed\": {},", fmt_measure(mixed.indexed));
-    println!("    \"classify\": {},", fmt_measure(mixed.classify));
-    println!("    \"speedup\": {{\"vs_indexed\": {:.2}}}", mixed.speedup);
-    println!("  }},");
-    println!(
-        "  \"gate\": {{\"required_speedup\": {}, \"profile\": \"acl\", \"pass\": {pass}}}",
-        gate.map_or_else(|| "null".to_string(), |g| format!("{g:.1}"))
-    );
+    println!("  {},", provenance_json());
+    for (name, p) in [("acl", &acl), ("mixed", &mixed)] {
+        println!(
+            "  \"{name}\": {{\"linear\": {}, \"classify\": {}, \"speedup_vs_linear\": {:.1}}},",
+            fmt_measure(p.linear),
+            fmt_measure(p.classify),
+            p.speedup
+        );
+    }
+    println!("  \"gate\": {{\"required_speedup\": {bar}, \"profile\": \"acl\", \"pass\": {pass}}}");
     println!("}}");
 
     if let Some(g) = gate {
         let mut failed = false;
         if acl.speedup < g {
             eprintln!(
-                "GATE FAIL: acl classify speedup {:.2}x vs indexed < required {g:.1}x",
+                "GATE FAIL: acl classify speedup {:.1}x vs linear < required {g:.1}x",
                 acl.speedup
             );
             failed = true;
@@ -289,8 +302,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!(
-            "gate ok: acl classify {:.2}x vs indexed ({:.0} ns/flow, {:.3} allocs/flow), \
-             {speedup_vs_linear:.0}x vs linear; mixed {:.2}x",
+            "gate ok: acl classify {:.1}x vs linear ({:.0} ns/flow, {:.3} allocs/flow); \
+             mixed {:.1}x",
             acl.speedup, acl.classify.ns_per_op, acl.classify.allocs_per_op, mixed.speedup
         );
     }

@@ -74,6 +74,7 @@ use dfi_packet::MacAddr;
 use dfi_simnet::churn::{diurnal_intensity, generate_churn, ChurnOp, ChurnParams};
 use dfi_simnet::topo::{shard_of, TopoKind, TopoParams, Topology};
 use dfi_simnet::{Sim, SimRng, SimTime, Summary};
+use dfi_wiregate::provenance_json;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -883,9 +884,12 @@ fn main() -> ExitCode {
         "  \"probes\": {probes}, \"equivalent\": {equivalent}, \"peak_rate\": {peak_rate:.0},"
     );
     println!(
-        "  \"hardware\": {{\"cores\": {cores}, \"wall_gate\": {wall_gate:.2}, \
-         \"wall_tol\": {wall_tol:.2}}},"
+        "  \"config\": {{\"iters\": {offered}, \"probes\": {probes}, \"seed\": {seed}, \
+         \"sweep_iters\": {sweep_flows}, \"required_scaling\": {}, \"wall_gate\": {wall_gate:.2}, \
+         \"wall_tol\": {wall_tol:.2}}},",
+        gate.map_or_else(|| "null".to_string(), |g| format!("{g:.1}"))
     );
+    println!("  {},", provenance_json());
     println!("  \"cooperative\": [");
     for (i, (n, t)) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };

@@ -30,7 +30,7 @@ use dfi_core::BufPool;
 use dfi_openflow::{
     Action, FlowMod, FlowStatsEntry, Instruction, Match, Message, MultipartReply, OfMessage,
 };
-use dfi_wiregate::{fmt_measure, measure, CountingAlloc, Measure};
+use dfi_wiregate::{fmt_measure, measure, provenance_json, CountingAlloc, Measure};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -225,7 +225,11 @@ fn main() -> ExitCode {
     let down_speedup = r.down_oracle.ns_per_op / r.down_splice.ns_per_op;
     let fmt = fmt_measure;
     println!("{{");
-    println!("  \"iters\": {iters},");
+    println!(
+        "  \"config\": {{\"iters\": {iters}, \"required_speedup\": {}}},",
+        gate.map_or_else(|| "null".to_string(), |g| format!("{g:.1}"))
+    );
+    println!("  {},", provenance_json());
     println!(
         "  \"encode\": {{\"fresh\": {}, \"pooled\": {}}},",
         fmt(r.encode_fresh),

@@ -72,19 +72,18 @@ fn main() {
 
     // --- Decisions, resolved at flow time --------------------------------
     let decide = |dfi: &Dfi, src_ip: Ipv4Addr, dst_ip: Ipv4Addr, port: u16| {
-        dfi.with_pm(|pm| {
-            // (Normally the PCP builds this view via the ERM; done by hand
-            // here to show the moving parts.)
-            let mut flow = FlowView {
-                ethertype: 0x0800,
-                ip_proto: Some(6),
-                ..Default::default()
-            };
-            flow.src.ip = Some(src_ip);
-            flow.dst.ip = Some(dst_ip);
-            flow.dst.port = Some(port);
-            pm.query(&flow)
-        })
+        // (Normally the PCP builds this view via the ERM; done by hand
+        // here to show the moving parts.)
+        let mut flow = FlowView {
+            ethertype: 0x0800,
+            ip_proto: Some(6),
+            ..Default::default()
+        };
+        flow.src.ip = Some(src_ip);
+        flow.dst.ip = Some(dst_ip);
+        flow.dst.port = Some(port);
+        // The published snapshot every shard decides against.
+        dfi.snapshot().classify(&flow)
     };
     let d = decide(
         &dfi,

@@ -6,14 +6,16 @@
 #
 # Usage:
 #   scripts/check.sh          full gate: fmt, clippy, workspace tests, the
-#                             perfbench package build, a per-crate test
+#                             perfbench package build and a traced perfbench
+#                             run that must print a result, a per-crate test
 #                             breakdown, deep codec fuzz
 #                             (FUZZ_ITERS, default 50000), the analyze, wire,
 #                             decide, scale/par, reach, and repair tiers,
 #                             bench compile
 #   scripts/check.sh --fast   pre-commit tier: fmt, clippy, workspace tests
 #                             with the fuzz suites dialed down to 500 cases,
-#                             the perfbench package build
+#                             the perfbench package build and its traced
+#                             result check
 #   scripts/check.sh --analyze
 #                             static-analysis tier only: clippy -D warnings
 #                             plus the dfi-analyze seeded-corpus ground-truth
@@ -26,11 +28,14 @@
 #                             vectors, and the dfi-wiregate allocation /
 #                             speedup gate (writes BENCH_wire.json)
 #   scripts/check.sh --decide
-#                             flow-decide tier only: the snapshot three-way
-#                             equivalence proptests (classify == query ==
-#                             query_linear) and the dfi-decidegate >=10x
-#                             speedup / zero-alloc gate on the compiled
-#                             classifier (writes BENCH_decide.json)
+#                             flow-decide tier only: the snapshot
+#                             equivalence proptests (classify ==
+#                             query_linear, classify_class ==
+#                             query_class_linear) and the dfi-decidegate
+#                             >=3505x speedup over the linear oracle
+#                             (median of alternating rounds) / zero-alloc
+#                             gate on the compiled classifier (writes
+#                             BENCH_decide.json)
 #   scripts/check.sh --reach  reachability tier only: the brute-force
 #                             per-packet oracle proptest (reach verdicts ==
 #                             simulating every representative packet), the
@@ -121,11 +126,11 @@ if [[ "$WIRE_ONLY" == 1 ]]; then
 fi
 
 run_decide() {
-  echo "== snapshot three-way equivalence (classify == query == query_linear) =="
+  echo "== snapshot equivalence (classify == query_linear, classify_class == query_class_linear) =="
   cargo test -q -p dfi-core --test proptest_policy snapshot
-  echo "== dfi-decidegate: >=10x compiled-classifier speedup + zero-alloc gate =="
+  echo "== dfi-decidegate: >=3505x classify vs linear oracle (median round) + zero-alloc gate =="
   cargo build -q --release -p dfi-wiregate
-  record_gate BENCH_decide.json ./target/release/dfi-decidegate --gate 10
+  record_gate BENCH_decide.json ./target/release/dfi-decidegate --gate 3505
 }
 
 if [[ "$DECIDE_ONLY" == 1 ]]; then
@@ -261,6 +266,28 @@ fi
 # otherwise break it silently.
 echo "== benchmark package build (perfbench) =="
 cargo build --release --offline -q --manifest-path perfbench/Cargo.toml
+
+# A traced run that exits 0 must still end in a result: its last stdout
+# line must be JSON with "correct": true and a finite value for every
+# metric (a ratio over zero counts prints null).
+echo "== perfbench traced run prints a result (testbed_day, 1 s) =="
+./perfbench/target/release/perfbench --workload testbed_day --seed 1 --seconds 1 --trace 1 \
+  | tail -n 1 | python3 -c '
+import json, math, sys
+line = sys.stdin.read()
+try:
+    result = json.loads(line)
+except ValueError:
+    sys.exit("last line is not a JSON result: " + line[:200])
+metrics = result.get("metrics") or {}
+bad = sorted(name for name, m in metrics.items()
+             if not isinstance(m.get("value"), (int, float))
+             or isinstance(m.get("value"), bool) or not math.isfinite(m["value"]))
+if result.get("correct") is not True or not metrics or bad:
+    sys.exit("traced run: correct=%s, metrics without a finite value: %s"
+             % (result.get("correct"), bad or "no metrics"))
+print("traced run ok: correct, %d finite metrics" % len(metrics))
+'
 
 echo "== per-crate test counts =="
 for manifest in crates/*/Cargo.toml; do
